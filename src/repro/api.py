@@ -179,8 +179,8 @@ class IntegrationRequest:
 
         ``backend`` overrides the request's backend (the routed/shared
         instance callers already resolved); ``chunk_budget`` overrides
-        the reference evaluate grain (the batch/service layers pass the
-        backend's preferred fused grain).
+        the default evaluate grain (callers pass
+        :meth:`PaganiConfig.resolve_chunk_budget` for the backend).
         """
         if backend is None:
             backend = self.backend if self.backend is not None else "numpy"
@@ -239,7 +239,11 @@ def integrate_request(
             backend = router.decide(
                 ndim=ndim, rel_tol=request.rel_tol
             ).backend
-        cfg = request.to_pagani_config(integrand, backend=backend)
+        bk = get_backend(backend)
+        cfg = request.to_pagani_config(
+            integrand, backend=bk,
+            chunk_budget=PaganiConfig.resolve_chunk_budget(bk),
+        )
         if policy is not None and request.max_iterations is None:
             # the stall watchdog: bound the PAGANI attempt so a
             # non-converging run reaches the ladder instead of burning
@@ -548,21 +552,19 @@ def integrate_many(
         As in :func:`integrate`, applied to every member
         (``relerr_filtering=None`` reads each member's ``sign_definite``).
     backend:
-        The shared execution backend.  On ``"numpy"`` the members keep
-        the reference chunk decomposition and every result is
-        **bit-identical** to a sequential :func:`integrate` call.  The
-        ``"threaded"`` backend switches to the throughput-tuned fused
-        chunk grain (``FUSED_CHUNK_BUDGET``) and is therefore held to
-        machine-precision agreement rather than bit-identity — the same
-        contract the ``"cupy"`` backend always has; cupy itself keeps
-        the large reference chunks (a device wants big launches).
+        The shared execution backend.  On every host backend
+        (``"numpy"``, ``"threaded"``, ``"process"``) each result is
+        **bit-identical** to a sequential :func:`integrate` call, at any
+        chunk grain; ``"cupy"`` and ``"numba"`` agree to machine
+        precision.
         ``"auto"`` routes the whole batch through the process-wide
         :class:`~repro.backends.routing.BackendRouter` using the summed
         first-sweep cost of all members.
     chunk_budget:
-        Override the per-member chunk budget (floats per chunk).  Default:
-        the backend's ``preferred_batch_chunk_budget`` when it declares
-        one (threaded does), else the reference budget (numpy/cupy).
+        Override the per-member chunk budget (floats per chunk), a speed
+        setting.  Default: the backend's ``preferred_batch_chunk_budget``
+        when it declares one (process and cupy do), else the cache-sized
+        default.
     device_spec:
         Virtual-device spec for each member (memory-scaled V100 default —
         the same device a plain :func:`integrate` call builds).
@@ -598,10 +600,9 @@ def integrate_many(
     >>> [r.converged for r in results]
     [True, True]
 
-    On the numpy backend every member is bit-identical to a sequential
-    :func:`integrate` call; parallel backends (``"threaded"``,
-    ``"process"``, ``"process:<N>"``) trade that for throughput under
-    the machine-precision contract:
+    Every member is bit-identical to a sequential :func:`integrate`
+    call, on the parallel host backends (``"threaded"``,
+    ``"process:<N>"``) too:
 
     >>> from repro import integrate
     >>> seq = integrate(members[0], 3, rel_tol=1e-3)

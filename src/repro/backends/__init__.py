@@ -23,8 +23,8 @@ Built-in backends
     multi-core scaling with no GIL in the way.  Workers receive picklable
     chunk specs (catalogue integrand spec or pickled callable, bounds
     slices), rebuild the rule tensors once per worker, and return result
-    arrays that the parent stitches in deterministic chunk order; on the
-    same chunk decomposition results are bit-identical to ``"numpy"``.
+    arrays that the parent stitches in deterministic chunk order;
+    results are bit-identical to ``"numpy"`` at any chunk grain.
     Unshippable integrands (closures) degrade to in-process serial
     execution with unchanged numerics.  See :mod:`repro.backends.process`.
 ``"numba"`` / ``"numba:<N>"``
@@ -32,8 +32,8 @@ Built-in backends
     evaluation, the five weighted contractions, error combination,
     fourth-difference axis scan) runs as one fused, parallel,
     nogil-jitted Numba kernel on an ``N``-wide thread team.  Agrees with
-    the reference to machine precision (ULP contract — per-region
-    sequential sums vs. BLAS blocked sums), not bit-identically.
+    the reference to machine precision (ULP contract — per-region sums
+    in a different order), not bit-identically.
     Import-guarded like ``"cupy"``: the one-time probe compiles a trivial
     jitted function and caches the verdict.  See
     :mod:`repro.backends.compiled`.

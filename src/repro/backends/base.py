@@ -27,8 +27,8 @@ Implementers subclass :class:`ArrayBackend` and provide:
     numbers regardless of scheduling, results are bit-identical across
     backends that share an array library.
 reductions / scan / compaction
-    ``reduce_sum``, ``dot``, ``minmax``, ``count_nonzero`` return Python
-    scalars (a device sync point on real accelerators);
+    ``reduce_sum``, ``masked_sum``, ``minmax``, ``count_nonzero`` return
+    Python scalars (a device sync point on real accelerators);
     ``exclusive_scan`` and ``compress`` return backend arrays.
 
 See ``repro/backends/__init__.py`` for the registry and the user-facing
@@ -61,11 +61,12 @@ class ArrayBackend(abc.ABC):
     #: registry name, e.g. ``"numpy"``; set by subclasses
     name: str = "abstract"
 
-    #: chunk budget (floats per chunk) the batch layer should use when
-    #: fusing many runs' sweeps onto this backend; ``None`` keeps each
-    #: run's reference budget (required for bit-identity with sequential
-    #: execution — see ``repro.batch``).  Parallel backends that benefit
-    #: from many small cache-sized chunks declare their tuned grain here.
+    #: chunk budget (floats per chunk) the batch and service layers use
+    #: on this backend; ``None`` keeps the cache-sized default
+    #: (``repro.cubature.evaluation.CHUNK_BUDGET``).  A speed setting
+    #: only: host lanes give the same bits at any grain.  Backends whose
+    #: chunks pay a fixed cost (an IPC round-trip, a device launch)
+    #: declare a coarser grain here.
     preferred_batch_chunk_budget: Optional[int] = None
 
     #: backends that execute chunks in *other processes* set this True;
@@ -125,8 +126,9 @@ class ArrayBackend(abc.ABC):
         """Sum-reduce to a Python float (``thrust::reduce``)."""
 
     @abc.abstractmethod
-    def dot(self, a: Any, b: Any) -> float:
-        """Inner product to a Python float (``thrust::inner_product``)."""
+    def masked_sum(self, values: Any, mask: Any) -> float:
+        """Sum of ``values`` where the boolean ``mask`` is set, to a Python
+        float (``thrust::inner_product`` with a 0/1 flag vector)."""
 
     @abc.abstractmethod
     def minmax(self, values: Any) -> Tuple[float, float]:

@@ -63,6 +63,9 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - exercised on GPU hosts
 
     name = "cupy"
 
+    #: a device wants few, large launches, not the host's cache-sized grain
+    preferred_batch_chunk_budget = 16_000_000
+
     def __init__(self, device_id: Optional[int] = None):
         self._cp = _import_cupy()
         if device_id is not None:
@@ -91,8 +94,8 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - exercised on GPU hosts
     def reduce_sum(self, values: Any) -> float:
         return float(self._cp.sum(values))
 
-    def dot(self, a: Any, b: Any) -> float:
-        return float(self._cp.dot(a, b))
+    def masked_sum(self, values: Any, mask: Any) -> float:
+        return float(self._cp.sum(values * mask))
 
     def minmax(self, values: Any) -> Tuple[float, float]:
         if values.size == 0:

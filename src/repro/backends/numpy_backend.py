@@ -41,8 +41,10 @@ class NumpyBackend(ArrayBackend):
     def reduce_sum(self, values: Any) -> float:
         return float(np.sum(values))
 
-    def dot(self, a: Any, b: Any) -> float:
-        return float(np.dot(a, b))
+    def masked_sum(self, values: Any, mask: Any) -> float:
+        # numpy's own reduction, not BLAS ddot: its order does not depend
+        # on the BLAS thread count, and the mask needs no float copy
+        return float(np.sum(values, where=mask))
 
     def minmax(self, values: Any) -> Tuple[float, float]:
         if values.size == 0:

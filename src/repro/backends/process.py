@@ -1,11 +1,11 @@
 """Multi-process chunked NumPy backend: real multi-core without the GIL.
 
 The ``threaded`` backend relies on NumPy releasing the GIL inside large
-ufunc/matmul calls; with the small cache-sized chunks the batch layer
-prefers, a meaningful share of each chunk is pure-Python glue that still
-serialises, capping the speedup well below the core count.  This backend
-executes the evaluate-sweep chunks in a persistent pool of **worker
-processes** instead, so every chunk's Python glue runs concurrently too.
+ufunc/einsum calls; with small cache-sized chunks, a meaningful share
+of each chunk is pure-Python glue that still serialises, capping the
+speedup well below the core count.  This backend executes the
+evaluate-sweep chunks in a persistent pool of **worker processes**
+instead, so every chunk's Python glue runs concurrently too.
 
 How a chunk travels
 -------------------

@@ -90,10 +90,10 @@ FALLBACK_S_PER_MEVAL = {
 BATCH_PRIORS_FILE = PRIORS_FILE.with_name("BENCH_batch.json")
 
 #: batched-throughput gain over batched numpy (measured ratios from the
-#: committed BENCH_batch.json) — the *chunk-grain* effect: numpy keeps
-#: the bit-identity reference decomposition (16M-float chunks) while
-#: threaded/process batch at their throughput-tuned grains, which wins
-#: even serially (cache locality), before any parallel speedup.
+#: committed BENCH_batch.json).  Those were measured while numpy batched
+#: at a 16M-float grain; numpy now shares threaded's cache-sized grain,
+#: so the ratios overstate the parallel lanes until BENCH_batch.json is
+#: regenerated.
 FALLBACK_BATCH_GAIN = {"numpy": 1.0, "threaded": 1.9, "process": 2.2}
 
 #: fixed per-sweep dispatch cost (seconds) a backend pays before any
@@ -263,8 +263,8 @@ class BackendRouter:
         if self._process and (self.process_width > 1 or context == "batch"):
             # Even a width-1 process backend earns its place in *batch*
             # traffic: it never builds a pool there (the serial guard),
-            # but its throughput-tuned fused chunk grain beats numpy's
-            # reference decomposition on big sweeps.
+            # and the committed batch priors credit its grain with a gain
+            # over numpy on big sweeps.
             out.append(f"process:{self.process_width}")
         if self._numba:
             out.append("numba")
@@ -278,11 +278,10 @@ class BackendRouter:
         """Predicted first-sweep seconds for one candidate spec.
 
         ``context`` is ``"plain"`` for a solo :func:`repro.api.integrate`
-        run (every backend keeps the reference chunk decomposition) or
-        ``"batch"`` for work executed through the batch scheduler
+        run or ``"batch"`` for work executed through the batch scheduler
         (:func:`repro.api.integrate_many`, the service rotation), where
-        threaded/process switch to their fused grains and gain
-        :attr:`batch_gains` over numpy before any parallelism.
+        threaded/process gain :attr:`batch_gains` over numpy before any
+        parallelism.
         """
         family = spec.partition(":")[0]
         mevals = evals / 1e6

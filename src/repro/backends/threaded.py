@@ -4,7 +4,7 @@ The EVALUATE sweep dominates PAGANI wall time once region counts grow; it
 is embarrassingly parallel over region chunks.  This backend keeps the
 exact chunk decomposition of the NumPy path (the chunks are computed by
 the caller from ``chunk_budget``) and dispatches the chunk thunks onto a
-thread pool.  NumPy releases the GIL inside the large ufunc and matmul
+thread pool.  NumPy releases the GIL inside the large ufunc and einsum
 calls each chunk performs, so real multi-core speedup is available
 without any change to the numbers: every chunk computes exactly what the
 serial backend computes, into a disjoint output slice, so results are
@@ -36,13 +36,9 @@ class ThreadedNumpyBackend(NumpyBackend):
 
     name = "threaded"
 
-    #: the batch layer's fused grain for this backend: ~1 MiB of points
-    #: per chunk keeps each chunk's working set cache-resident and gives
-    #: the pool many independent work items per fused submission (the
-    #: sequential default of 16M floats yields one chunk per sweep —
-    #: nothing to parallelise).  Trades bit-identity with the reference
-    #: decomposition for throughput; see docs/batch.md.
-    preferred_batch_chunk_budget = 131_072
+    # No preferred grain of its own: the cache-sized default
+    # (``evaluation.CHUNK_BUDGET``) already gives the pool many
+    # independent chunks per sweep, with the same bits as numpy.
     concurrent_chunks = True
 
     def __init__(self, num_threads: Optional[int] = None):

@@ -204,8 +204,8 @@ class TwoPhaseIntegrator:
                 status = Status.CONVERGED_REL
                 break
 
-            v_active = thrust.dot(dev, ev.estimate, active.astype(np.float64))
-            e_active = thrust.dot(dev, ev.error, active.astype(np.float64))
+            v_active = thrust.masked_sum(dev, ev.estimate, active)
+            e_active = thrust.masked_sum(dev, ev.error, active)
             v_finished += v_it - v_active
             e_finished += e_it - e_active
             n_active = int(np.count_nonzero(active))

@@ -21,19 +21,13 @@ integral.  See ``docs/batch.md`` for the design discussion and measured
 batched-vs-sequential numbers.
 """
 
-from repro.batch.scheduler import (
-    FUSED_CHUNK_BUDGET,
-    BatchMemberError,
-    BatchScheduler,
-    BatchStats,
-)
+from repro.batch.scheduler import BatchMemberError, BatchScheduler, BatchStats
 from repro.cubature.rules import RULE_CACHE, DeviceRule, RuleCache
 
 __all__ = [
     "BatchScheduler",
     "BatchStats",
     "BatchMemberError",
-    "FUSED_CHUNK_BUDGET",
     "RuleCache",
     "RULE_CACHE",
     "DeviceRule",

@@ -42,7 +42,7 @@ from repro.backends import BackendLike, get_backend
 from repro.core.classify import ThresholdTrace, rel_err_classify, threshold_classify
 from repro.core.regions import RegionStore
 from repro.core.result import IntegrationResult, IterationRecord, Status
-from repro.cubature.evaluation import SweepScratch, evaluate_regions
+from repro.cubature.evaluation import CHUNK_BUDGET, SweepScratch, evaluate_regions
 from repro.cubature.rules import get_rule
 from repro.cubature.two_level import two_level_errors
 from repro.errors import ConfigurationError
@@ -90,8 +90,9 @@ class PaganiConfig:
     #: per-region finished test is e_i <= margin·τ_rel·|v_i|; the margin
     #: reserves part of the global budget for threshold commitments
     relerr_margin: float = 0.5
-    #: chunking budget for the evaluate sweep (floats per chunk)
-    chunk_budget: int = 16_000_000
+    #: chunking budget for the evaluate sweep (floats per chunk); a speed
+    #: setting only — results are bit-identical at any grain on host lanes
+    chunk_budget: int = CHUNK_BUDGET
     #: execution backend for the hot path: a registered name
     #: ("numpy", "threaded", "threaded:<N>", "cupy") or an
     #: :class:`~repro.backends.base.ArrayBackend` instance
@@ -117,12 +118,13 @@ class PaganiConfig:
 
     @classmethod
     def resolve_chunk_budget(cls, backend, override: Optional[int] = None) -> int:
-        """The effective evaluate-chunk grain for batched execution.
+        """The effective evaluate-chunk grain on ``backend``.
 
-        One policy shared by :func:`repro.api.integrate_many` and the
-        service layer (the cache fingerprint hashes this value, so the
-        two must never diverge): an explicit override wins, else the
-        backend's preferred fused grain, else the reference budget.
+        One policy shared by :func:`repro.api.integrate`,
+        :func:`repro.api.integrate_many` and the service layer (the cache
+        fingerprint hashes this value, so they must never diverge): an
+        explicit override wins, else the backend's preferred grain, else
+        the cache-sized default.
         """
         if override is not None:
             return int(override)
@@ -528,8 +530,8 @@ class PaganiRun:
             n_active = new_active
 
         # --- accumulate finished contributions (lines 18-19) ------
-        v_active = thrust.dot(dev, ev.estimate, active.astype(np.float64), backend=bk)
-        e_active = thrust.dot(dev, errors, active.astype(np.float64), backend=bk)
+        v_active = thrust.masked_sum(dev, ev.estimate, active, backend=bk)
+        e_active = thrust.masked_sum(dev, errors, active, backend=bk)
         self._v_finished += v_it - v_active
         self._e_finished += e_it - e_active
 

@@ -5,11 +5,12 @@ parallel sweep per iteration.  The sweep executes on a pluggable
 :class:`~repro.backends.base.ArrayBackend` (NumPy by default): points for
 a chunk of regions are materialised as one ``(chunk, p, n)`` tensor, the
 integrand is applied to the flattened point list, and the five weighted
-reductions plus the fourth-difference axis scan are computed with matrix
-products and fancy-indexed gathers.  Chunking bounds peak memory (the
-guides' "be easy on memory" rule) without changing results, and doubles
-as the parallel decomposition: each chunk is an independent thunk the
-backend may schedule on a thread pool or a device stream.
+reductions plus the fourth-difference axis scan are computed with
+fixed-order contractions and fancy-indexed gathers.  Chunking bounds peak
+memory (the guides' "be easy on memory" rule) without changing a single
+bit of any region's results, and doubles as the parallel decomposition:
+each chunk is an independent thunk the backend may schedule on a thread
+pool, a worker process or a device stream.
 
 Returned per region:
 
@@ -42,8 +43,11 @@ import numpy as np
 from repro.backends import BackendLike, get_backend
 from repro.cubature.rules import FOURTH_DIFF_RATIO, RULE_CACHE, GenzMalikRule
 
-#: cap on floats materialised per chunk (regions * points * ndim)
-_CHUNK_BUDGET = 16_000_000
+#: the default cap on floats materialised per chunk (regions * points *
+#: ndim): 1 MiB of points keeps a chunk's point tensor and the integrand's
+#: temporaries cache-resident.  The grain is a pure speed setting — the
+#: contractions below give every region the same bits at any grain.
+CHUNK_BUDGET = 131_072
 
 
 @dataclass
@@ -200,11 +204,13 @@ def compute_chunk(
         np.prod(h2, axis=1, out=vol)
 
     def contract(w: np.ndarray, name: str):
-        # vol * (vals @ w), optionally into a scratch vector
+        # vol * (vals @ w), optionally into a scratch vector.  einsum (not
+        # BLAS gemv) sums each row in a fixed order, so a region's bits do
+        # not depend on the chunk's row count or the BLAS thread count.
         if scratch is None:
-            return vol * (vals @ w)
+            return vol * np.einsum("ij,j->i", vals, w)
         out = scratch.take(name, (mc,))
-        np.matmul(vals, w, out=out)
+        np.einsum("ij,j->i", vals, w, out=out)
         np.multiply(vol, out, out=out)
         return out
 
@@ -360,7 +366,7 @@ def evaluate_regions(
     halfwidths: np.ndarray,
     integrand: Callable[[np.ndarray], np.ndarray],
     error_model: str = "two_rule",
-    chunk_budget: int = _CHUNK_BUDGET,
+    chunk_budget: int = CHUNK_BUDGET,
     out_estimate: Optional[np.ndarray] = None,
     out_error: Optional[np.ndarray] = None,
     out_axis: Optional[np.ndarray] = None,
@@ -380,16 +386,15 @@ def evaluate_regions(
     error_model:
         See :func:`_error_from_estimates`.
     chunk_budget:
-        Max floats materialised per chunk; tunes peak memory, and sets the
-        grain of the backend's chunk-level parallelism.
+        Max floats materialised per chunk; tunes peak memory and cache
+        residency, and sets the grain of the backend's chunk-level
+        parallelism.  Results do not depend on it.
     backend:
-        Execution backend spec (``None`` = reference NumPy).  The chunk
-        decomposition is backend-independent, and each chunk's arithmetic
-        is identical across host backends, so results do not depend on
-        the backend's schedule.  (The *size* of the chunks can shift
-        results at ULP level through BLAS kernel selection, so callers
-        that promise bit-identical output must keep ``chunk_budget``
-        fixed.)
+        Execution backend spec (``None`` = reference NumPy).  Each
+        region's arithmetic is identical across host backends and does
+        not depend on which chunk it lands in, so results are
+        bit-identical at any ``chunk_budget``, schedule, pool width or
+        BLAS thread count.
     scratch:
         Optional :class:`SweepScratch` reusing the chunk temporaries
         across chunks and calls (see :func:`compute_chunk`; bit-identical

@@ -27,6 +27,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from repro.cubature.evaluation import CHUNK_BUDGET, EvaluationResult
 from repro.errors import DimensionError
 
 GAUSS_N = 7  # G7/K15, the classic QUADPACK pair
@@ -162,7 +163,7 @@ def evaluate_regions_gk(
     centers: np.ndarray,
     halfwidths: np.ndarray,
     integrand: Callable[[np.ndarray], np.ndarray],
-    chunk_budget: int = 16_000_000,
+    chunk_budget: int = CHUNK_BUDGET,
 ):
     """Batch-evaluate regions with the tensor G7/K15 pair.
 
@@ -171,8 +172,6 @@ def evaluate_regions_gk(
     ``neval`` — interface-compatible with the Genz–Malik sweep for
     downstream comparisons.
     """
-    from repro.cubature.evaluation import EvaluationResult
-
     centers = np.asarray(centers, dtype=np.float64)
     halfwidths = np.asarray(halfwidths, dtype=np.float64)
     m, n = centers.shape
@@ -189,8 +188,9 @@ def evaluate_regions_gk(
         pts = c[:, None, :] + rule.points[None, :, :] * h[:, None, :]
         vals = integrand(pts.reshape(-1, n)).reshape(hi - lo, p)
         vol = np.prod(2.0 * h, axis=1)
-        ik = vol * (vals @ rule.w_kronrod)
-        ig = vol * (vals @ rule.w_gauss)
+        # fixed-order contraction: grain-invariant bits (see compute_chunk)
+        ik = vol * np.einsum("ij,j->i", vals, rule.w_kronrod)
+        ig = vol * np.einsum("ij,j->i", vals, rule.w_gauss)
         estimate[lo:hi] = ik
         error[lo:hi] = np.abs(ik - ig)
     return EvaluationResult(

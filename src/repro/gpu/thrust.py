@@ -1,6 +1,6 @@
 """Thrust-style parallel primitives on the virtual device.
 
-The paper's implementation leans on Thrust for reductions, dot products,
+The paper's implementation leans on Thrust for reductions, inner products,
 min/max and prefix scans in PAGANI's post-processing and threshold-search
 steps.  Each wrapper here executes through a pluggable
 :class:`~repro.backends.base.ArrayBackend` (NumPy when none is given) and
@@ -40,17 +40,21 @@ def reduce_sum(
     return out
 
 
-def dot(
+def masked_sum(
     device: Optional[VirtualDevice],
-    a: np.ndarray,
-    b: np.ndarray,
+    values: np.ndarray,
+    mask: np.ndarray,
     name: str = "thrust::inner_product",
     backend: Optional[ArrayBackend] = None,
 ) -> float:
-    """Dot product, used for ``Sum(V . A)`` / ``Sum(E . A)`` (lines 18-19)."""
-    out = get_backend(backend).dot(a, b)
+    """``Sum(V . A)`` / ``Sum(E . A)`` over the active flags (lines 18-19).
+
+    The CUDA code computes these as an inner product with the 0/1 flag
+    vector, so the charge models that kernel (values plus flags streamed).
+    """
+    out = get_backend(backend).masked_sum(values, mask)
     if device is not None:
-        device.charge_kernel(name, work_items=a.size, bytes_per_item=2 * _F8)
+        device.charge_kernel(name, work_items=values.size, bytes_per_item=2 * _F8)
     return out
 
 

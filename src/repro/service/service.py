@@ -214,8 +214,9 @@ class IntegrationService:
     chunk_budget:
         Per-run evaluate-chunk grain.  Default: the backend's
         ``preferred_batch_chunk_budget`` when it declares one, else the
-        reference budget — on the numpy backend service results are
-        bit-identical to plain :func:`repro.api.integrate` calls.
+        cache-sized default.  A speed setting: on host backends service
+        results are bit-identical to plain :func:`repro.api.integrate`
+        calls at any grain.
     collect_traces:
         Keep per-iteration traces on results (off by default: a serving
         system should not grow unbounded trace lists into its cache).
@@ -282,7 +283,7 @@ class IntegrationService:
                 # instead of trusting cpu_count (no-op on 1-CPU hosts).
                 self._router.autotune_width()
             # Routed shards still need a default instance: it anchors
-            # the reference chunk budget and serves as the fallback when
+            # the default chunk budget and serves as the fallback when
             # a routed spec fails to build.  numpy is always adequate.
             backend = "numpy"
         if shards == 1 or isinstance(backend, ArrayBackend):

@@ -53,14 +53,16 @@ def test_integrate_many_bit_identical_to_sequential_numpy():
         assert rb.true_value == rs.true_value, f.name
 
 
-def test_integrate_many_threaded_machine_precision():
+def test_integrate_many_threaded_bit_identical_to_numpy():
+    # neither the pool schedule nor the chunk grain moves a bit
     members = genz_batch(dims=(2, 3))[:6]
     sequential = [integrate(f, f.ndim, rel_tol=1e-3, backend="numpy")
                   for f in members]
-    batched = integrate_many(members, rel_tol=1e-3, backend="threaded")
-    for rs, rb in zip(sequential, batched):
-        assert rb.estimate == pytest.approx(rs.estimate, rel=1e-12)
-        assert rb.converged == rs.converged
+    batched = integrate_many(members, rel_tol=1e-3, backend="threaded:2")
+    for f, rs, rb in zip(members, sequential, batched):
+        assert rb.estimate == rs.estimate, f.name
+        assert rb.errorest == rs.errorest, f.name
+        assert rb.iterations == rs.iterations, f.name
 
 
 # ---------------------------------------------------------------------------

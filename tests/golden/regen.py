@@ -13,6 +13,7 @@ scheduling changes the suite must reproduce these bits exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -29,18 +30,24 @@ REL_TOL = 1e-4
 
 
 def blas_fingerprint() -> str:
-    """Hex digest of a deterministic matvec probing BLAS kernel dispatch.
+    """Digest of the BLAS products the hot path still reaches.
 
-    Two environments that produce identical bits here use the same
-    reduction orders on the shapes the hot path cares about, so the
-    golden hex comparison is safe; version/machine strings alone cannot
-    distinguish CPU microarchitectures that dispatch different kernels.
+    The rule contractions and the finished-contribution sums are numpy
+    reductions in a fixed order, so BLAS is left only inside integrands:
+    the Genz and paper families' narrow ``x @ a`` matvecs (10^4 to 10^5
+    rows per chunk at the default grain, enough for BLAS to split them
+    across threads) and
+    the ``gaussian_measure`` transform's ``z @ L.T``.  Two environments
+    that produce identical bits here dispatch the same kernels on those
+    shapes, so the golden hex comparison is safe; version/machine strings
+    alone cannot distinguish CPU microarchitectures.
     """
-    a = (np.arange(1, 777 * 33 + 1, dtype=np.float64) / 7.0).reshape(777, 33)
-    w = np.arange(1, 34, dtype=np.float64) / 3.0
-    v = a @ w
-    b = (np.arange(1, 12 * 8 + 1, dtype=np.float64) / 11.0).reshape(12, 8)
-    return (float(np.sum(v)).hex() + ":" + float((b @ b.T).sum()).hex())
+    digest = hashlib.sha256()
+    for rows, cols in ((100_000, 2), (50_000, 5), (20_000, 8)):
+        x = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) / 7.0
+        digest.update(x @ (np.arange(1, cols + 1) / 3.0))
+        digest.update(x[:2000] @ (x[:cols] / 11.0).T)
+    return digest.hexdigest()[:32]
 
 
 def golden_cases():

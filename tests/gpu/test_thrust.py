@@ -24,10 +24,11 @@ def test_reduce_sum_without_device():
     assert thrust.reduce_sum(None, np.ones(3)) == pytest.approx(3.0)
 
 
-def test_dot(dev):
+def test_masked_sum(dev):
     a = np.array([1.0, 2.0, 3.0])
-    b = np.array([0.0, 1.0, 1.0])
-    assert thrust.dot(dev, a, b) == pytest.approx(5.0)
+    mask = np.array([False, True, True])
+    assert thrust.masked_sum(dev, a, mask) == 5.0
+    assert dev.stats()["thrust::inner_product"].bytes_moved == 3 * 16
 
 
 def test_minmax(dev):
