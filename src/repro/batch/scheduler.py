@@ -100,24 +100,6 @@ class _GuardedTask:
             self._failures.setdefault(self._member, exc)
 
 
-class _RetiredRun:
-    """Tombstone for a retired member: finished, memoryless, resultless."""
-
-    finished = True
-    has_result = False
-
-    def abandon(self) -> None:
-        pass
-
-    @property
-    def result(self):
-        raise RuntimeError("this batch member was retired; its result was "
-                           "consumed and released")
-
-
-_RETIRED = _RetiredRun()
-
-
 @dataclass
 class BatchStats:
     """Observable scheduler behaviour (tested for fairness guarantees)."""
@@ -131,9 +113,9 @@ class BatchStats:
     #: peak number of simultaneously live members
     peak_live: int = 0
     #: iterations served per member index — fairness: while a member is
-    #: live, its count equals the round number
+    #: live, its count equals the round number (retired members drop out)
     iterations_served: Dict[int, int] = field(default_factory=dict)
-    #: member index -> round (1-based) in which it exited
+    #: member index -> round (1-based) in which it exited (until retired)
     exit_round: Dict[int, int] = field(default_factory=dict)
 
 
@@ -158,7 +140,9 @@ class BatchScheduler:
 
     def __init__(self, backend: BackendLike = None):
         self.backend = get_backend(backend)
-        self._runs: List[PaganiRun] = []
+        #: member index -> run, in admission order (the service order)
+        self._runs: Dict[int, PaganiRun] = {}
+        self._next_index = 0
         self.stats = BatchStats()
         #: member index -> exception captured from its thunks this round
         self._thunk_failures: Dict[int, BaseException] = {}
@@ -181,15 +165,16 @@ class BatchScheduler:
             )
         if run.finished:
             raise ConfigurationError("cannot add an already-finished run")
-        self._runs.append(run)
-        idx = len(self._runs) - 1
+        idx = self._next_index
+        self._next_index += 1
+        self._runs[idx] = run
         self.stats.iterations_served[idx] = 0
         return idx
 
     # ------------------------------------------------------------------
     @property
     def members(self) -> List[PaganiRun]:
-        return list(self._runs)
+        return list(self._runs.values())
 
     def member(self, index: int) -> PaganiRun:
         """The run at ``index`` without copying the member list."""
@@ -198,23 +183,25 @@ class BatchScheduler:
     @property
     def live(self) -> List[int]:
         """Indices of members that have not reached a terminal status."""
-        return [i for i, r in enumerate(self._runs) if not r.finished]
+        return [i for i, r in self._runs.items() if not r.finished]
 
     # ------------------------------------------------------------------
     def retire_member(self, index: int) -> None:
-        """Release a finished member's run entirely (long-lived rotations).
+        """Forget a finished member entirely (long-lived rotations).
 
-        ``add`` only ever appends, so a scheduler hosting a stream of
-        jobs would otherwise pin every finished run — with its result
-        and trace — for its own lifetime.  Retiring replaces the run
-        with a tombstone: the index keeps its slot (later members keep
-        their indices), the member stays non-live, and :meth:`run`
-        yields ``None`` for it.  Only finished members can be retired;
-        the caller must have consumed the result first.
+        A scheduler hosting a stream of jobs would otherwise pin every
+        finished run — with its result and trace — and its stats entries
+        for its own lifetime.  Retiring deletes the run and its
+        ``iterations_served``/``exit_round`` entries; later members keep
+        their indices and :meth:`run` no longer lists it.  Only finished
+        members can be retired; the caller must have consumed the result
+        first.
         """
         if not self._runs[index].finished:
             raise ConfigurationError("cannot retire a live member")
-        self._runs[index] = _RETIRED
+        del self._runs[index]
+        self.stats.iterations_served.pop(index, None)
+        self.stats.exit_round.pop(index, None)
 
     # ------------------------------------------------------------------
     def abandon_member(self, index: int) -> None:
@@ -340,4 +327,4 @@ class BatchScheduler:
         """
         while self.live:
             self.run_round()
-        return [r.result if r.has_result else None for r in self._runs]
+        return [r.result if r.has_result else None for r in self._runs.values()]

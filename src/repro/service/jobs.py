@@ -21,6 +21,7 @@ next rotation round and the handle then reports ``CANCELLED``.
 from __future__ import annotations
 
 import enum
+import logging
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -32,6 +33,8 @@ import numpy as np
 from repro.core.result import IntegrationResult
 from repro.errors import ConfigurationError
 from repro.integrands.catalog import canonical_spec, named_integrand
+
+_log = logging.getLogger("repro.service")
 
 
 class JobFailedError(RuntimeError):
@@ -509,4 +512,4 @@ class JobHandle:
             try:
                 fn(self)
             except Exception:  # callbacks must not kill the worker
-                pass
+                _log.exception("done-callback of job #%d raised", self.job_id)

@@ -35,25 +35,27 @@ with one wide pool.
 Thread model: clients call ``submit``/``cancel``/``result`` from any
 thread; scheduler and cache-write activity happens on the shard worker
 threads, and every structure shared across shards (the in-flight
-fingerprint map, member/follower tables, counters) is only mutated under
-the service condition lock.  The service survives integrand failures
-(the failing job's handle carries the exception; the rotation continues)
-and is explicitly shut down with :meth:`IntegrationService.shutdown` or
-a ``with`` block.
+fingerprint map, the shards' member records and their followers,
+counters) is only mutated under the service condition lock.  The
+service survives integrand failures (the failing job's handle carries
+the exception; the rotation continues) and is explicitly shut down with
+:meth:`IntegrationService.shutdown` or a ``with`` block.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+import time
 from concurrent.futures import CancelledError
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends import ArrayBackend, BackendLike, get_backend, new_backend
 from repro.batch import BatchMemberError, BatchScheduler
-from repro.core.pagani import PaganiConfig, PaganiIntegrator
+from repro.core.pagani import PaganiConfig, PaganiIntegrator, PaganiRun
 from repro.errors import ConfigurationError
 from repro.service.cache import ResultCache, job_fingerprint
 from repro.service.escalation import EscalationPolicy
@@ -70,110 +72,51 @@ class ServiceClosedError(RuntimeError):
     """Submission after :meth:`IntegrationService.shutdown`."""
 
 
-class _Rotation:
-    """A shard's scheduler set, multiplexed over per-backend schedulers.
+@dataclass(eq=False)
+class _Member:
+    """One live run in a shard's rotation and everything known about it.
 
-    A :class:`~repro.batch.BatchScheduler` only accepts runs built on
-    its own backend instance, so a shard that routes jobs to different
-    backends keeps one scheduler per backend and hands out shard-unique
-    member ids.  With a single backend (the pinned-service default) this
-    degenerates to exactly one scheduler — the pre-routing behaviour.
-
-    Owned by one shard worker thread; never shared across threads.
+    ``followers`` and ``weight`` are read across threads (stats,
+    cross-shard coalescing) and only change under the service condition
+    lock; ``credit`` belongs to the owning shard's worker thread; the
+    rest is fixed at admission.  Compared by identity.
     """
 
-    def __init__(self) -> None:
-        self._schedulers: Dict[int, BatchScheduler] = {}  # id(backend) ->
-        self._by_member: Dict[int, Tuple[BatchScheduler, int]] = {}
-        self._next_member = 0
-
-    @property
-    def members(self):
-        """All schedulers' member slots (retired tombstones included)."""
-        return [
-            run
-            for sched in self._schedulers.values()
-            for run in sched.members
-        ]
-
-    def add(self, run) -> int:
-        """Enrol a run with the scheduler of its backend; shard-unique id."""
-        key = id(run.backend)
-        sched = self._schedulers.get(key)
-        if sched is None:
-            sched = BatchScheduler(backend=run.backend)
-            self._schedulers[key] = sched
-        index = sched.add(run)
-        member_id = self._next_member
-        self._next_member += 1
-        self._by_member[member_id] = (sched, index)
-        return member_id
-
-    def member(self, member_id: int):
-        sched, index = self._by_member[member_id]
-        return sched.member(index)
-
-    def abandon_member(self, member_id: int) -> None:
-        sched, index = self._by_member[member_id]
-        sched.abandon_member(index)
-
-    def retire_member(self, member_id: int) -> None:
-        sched, index = self._by_member.pop(member_id)
-        sched.retire_member(index)
-
-    def run_round(self, only: Sequence[int]) -> Dict[int, BaseException]:
-        """One fused round per involved scheduler; failures by member id."""
-        by_sched: Dict[int, Tuple[BatchScheduler, List[int]]] = {}
-        for member_id in only:
-            sched, _ = self._by_member[member_id]
-            by_sched.setdefault(id(sched), (sched, []))[1].append(member_id)
-        failures: Dict[int, BaseException] = {}
-        for sched, member_ids in by_sched.values():
-            reverse = {
-                self._by_member[m][1]: m for m in member_ids
-            }
-            try:
-                sched.run_round(only=list(reverse))
-            except BatchMemberError as exc:
-                for index, error in exc.failures.items():
-                    failures[reverse[index]] = error
-        return failures
+    handle: JobHandle
+    resolved: ResolvedJob
+    run: PaganiRun
+    #: the scheduler the run is enrolled with and its index there
+    scheduler: BatchScheduler
+    index: int
+    weight: int
+    fingerprint: Optional[str]
+    #: (resolved backend name, admit monotonic time) for feeding observed
+    #: timings back to the router; ``None`` on a pinned service
+    routed: Optional[Tuple[str, float]]
+    credit: float = 0.0
+    followers: List[JobHandle] = field(default_factory=list)
 
 
 class _Shard:
-    """One worker rotation: schedulers + backend instances for one worker.
-
-    All tables are keyed by the shard-local rotation member id.
-    ``members``/``followers``/``weights``/``member_fp`` are read and
-    written across threads (stats, cross-shard coalescing) and are only
-    touched under the service condition lock; ``credits``/``resolved``/
-    ``routed`` are private to the owning worker thread.
+    """One worker rotation: its backend instances, schedulers and members.
 
     ``backend`` is the shard's *default* instance (every job, absent
-    routing); ``extras`` caches shard-owned instances for routed /
-    per-job-override backend specs, so repeat decisions reuse pools.
+    routing).  ``schedulers`` maps a backend spec to the scheduler of the
+    instance that spec runs on — ``None`` is the default's, built here —
+    so repeat routing decisions reuse warm pools and each fused round
+    stays on one backend.  ``members`` maps job id to :class:`_Member` in
+    admission order; it only changes under the service condition lock.
     """
 
-    __slots__ = (
-        "index", "backend", "scheduler", "members", "resolved", "weights",
-        "credits", "followers", "member_fp", "routed", "extras", "thread",
-    )
+    __slots__ = ("index", "backend", "schedulers", "members", "thread")
 
     def __init__(self, index: int, backend: ArrayBackend):
         self.index = index
         self.backend = backend
-        self.scheduler = _Rotation()
-        self.members: Dict[int, JobHandle] = {}
-        self.resolved: Dict[int, ResolvedJob] = {}
-        self.weights: Dict[int, int] = {}
-        self.credits: Dict[int, float] = {}
-        self.followers: Dict[int, List[JobHandle]] = {}
-        self.member_fp: Dict[int, str] = {}
-        #: member id -> (resolved backend name, admit perf_counter) for
-        #: feeding observed sweep timings back to the router
-        self.routed: Dict[int, Tuple[str, float]] = {}
-        #: spec string -> shard-owned backend instance (routing/override)
-        self.extras: Dict[str, ArrayBackend] = {}
+        self.schedulers: Dict[Optional[str], BatchScheduler] = {
+            None: BatchScheduler(backend=backend)
+        }
+        self.members: Dict[int, _Member] = {}
         self.thread: Optional[threading.Thread] = None
 
 
@@ -202,9 +145,10 @@ class IntegrationService:
         always wins over both the pinned spec and the router.
     shards:
         Number of worker rotations (default 1 — the pre-sharding
-        behaviour, byte for byte).  Each shard owns one
-        :class:`~repro.batch.BatchScheduler` and one backend instance;
-        all shards pull from the shared queue and cache.
+        behaviour, byte for byte).  Each shard owns one backend
+        instance and one :class:`~repro.batch.BatchScheduler` per
+        backend it routes jobs to; all shards pull from the shared queue
+        and cache.
     cache:
         ``True`` (default) builds a :class:`ResultCache` of
         ``cache_entries`` slots; ``False`` disables caching; an existing
@@ -313,8 +257,8 @@ class IntegrationService:
         self._stopping = False
         self._worker_error: Optional[BaseException] = None
 
-        #: fingerprint -> (shard, member index) of the in-flight primary
-        self._inflight: Dict[str, Tuple[_Shard, int]] = {}
+        #: fingerprint -> the in-flight primary run's member
+        self._inflight: Dict[str, _Member] = {}
         self._rounds = 0
         self._coalesced = 0
         self._escalations = 0
@@ -403,12 +347,10 @@ class IntegrationService:
 
     def wait_all(self, timeout: Optional[float] = None) -> bool:
         """Block until every submitted job is terminal; False on timeout."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         for handle in self.jobs():
             remaining = (
-                None if deadline is None else max(0.0, deadline - _time.monotonic())
+                None if deadline is None else max(0.0, deadline - time.monotonic())
             )
             if not handle.wait(remaining):
                 return False
@@ -440,7 +382,7 @@ class IntegrationService:
                     "shard": shard.index,
                     "live": len(shard.members),
                     "followers": sum(
-                        len(f) for f in shard.followers.values()
+                        len(m.followers) for m in shard.members.values()
                     ),
                     "utilization": len(shard.members) / self.max_concurrent,
                 }
@@ -496,13 +438,17 @@ class IntegrationService:
             for shard in self._shards:
                 shard.thread.join()
             # Release the pools of backends this service built (fresh
-            # per-shard instances and any routed/override extras);
-            # shared/caller-owned backends are untouched.  close() is
-            # idempotent, so repeated shutdowns are safe.
-            extras = [
-                bk for shard in self._shards for bk in shard.extras.values()
+            # per-shard instances and the routed/override ones); a shard
+            # default that is shared or caller-owned is untouched, even
+            # where a spec routes to it.  close() is idempotent, so
+            # repeated shutdowns are safe.
+            built = [
+                sched.backend
+                for shard in self._shards
+                for sched in shard.schedulers.values()
+                if sched.backend is not shard.backend
             ]
-            for bk in self._owned_backends + extras:
+            for bk in self._owned_backends + built:
                 close = getattr(bk, "close", None)
                 if close is not None:
                     close()
@@ -531,8 +477,8 @@ class IntegrationService:
                         # A sibling shard died: abandon this shard's live
                         # runs (their handles were already failed) and
                         # stop serving.
-                        for index in list(shard.members):
-                            shard.scheduler.abandon_member(index)
+                        for member in shard.members.values():
+                            member.scheduler.abandon_member(member.index)
                         return
                     if (
                         self._stopping
@@ -589,15 +535,15 @@ class IntegrationService:
             return None
         return EscalationPolicy.parse(spec.escalation)
 
-    def _job_backend(
+    def _job_scheduler(
         self, shard: _Shard, spec: JobSpec, resolved: ResolvedJob
-    ) -> Tuple[ArrayBackend, int]:
-        """The backend instance + chunk grain this job runs on.
+    ) -> Tuple[BatchScheduler, int]:
+        """The scheduler (so the backend instance) + chunk grain of a job.
 
         Per-job ``spec.backend`` overrides always win; an ``auto``
         service routes the rest; a pinned service runs them on the
         shard default.  Instances for non-default specs are built once
-        per shard and reused (``shard.extras``), so routed jobs keep
+        per shard and reused (``shard.schedulers``), so routed jobs keep
         warm pools exactly like pinned ones.
         """
         override = spec.backend if spec.backend != "auto" else None
@@ -611,18 +557,18 @@ class IntegrationService:
             # the service is the routing decision.
             target = override
         if target is None:
-            return shard.backend, self.chunk_budget
-        backend = shard.extras.get(target)
-        if backend is None:
+            return shard.schedulers[None], self.chunk_budget
+        sched = shard.schedulers.get(target)
+        if sched is None:
             if target == shard.backend.name:
-                backend = shard.backend  # routed to the default: reuse
+                sched = shard.schedulers[None]  # routed to the default
             else:
-                backend = new_backend(target)
-            shard.extras[target] = backend
+                sched = BatchScheduler(backend=new_backend(target))
+            shard.schedulers[target] = sched
         budget = PaganiConfig.resolve_chunk_budget(
-            backend, self._chunk_budget_override
+            sched.backend, self._chunk_budget_override
         )
-        return backend, budget
+        return sched, budget
 
     def _admit(self, shard: _Shard) -> None:
         """Fill the shard's free rotation slots (cache/coalesce first)."""
@@ -635,9 +581,10 @@ class IntegrationService:
             spec = handle.spec
             try:
                 resolved = spec.resolve()
-                run_backend, chunk_budget = self._job_backend(
+                sched, chunk_budget = self._job_scheduler(
                     shard, spec, resolved
                 )
+                run_backend = sched.backend
                 policy = self._job_policy(spec)
             except Exception as exc:
                 self._finish(handle, JobStatus.FAILED, exception=exc)
@@ -672,24 +619,20 @@ class IntegrationService:
                     self._finish(handle, JobStatus.DONE, result=cached)
                     continue
                 # Cross-shard coalescing: the in-flight map and the
-                # twin's follower/weight tables only change under the
+                # twin's followers and weight only change under the
                 # condition lock, so the twin cannot finish (and drain
                 # its followers) between the lookup and the append.
                 with self._cond:
                     twin = self._inflight.get(fingerprint)
                     if twin is not None:
-                        twin_shard, twin_index = twin
-                        twin_handle = twin_shard.members[twin_index]
                         handle.stats.cache_hit = True
-                        handle.stats.coalesced_with = twin_handle.job_id
-                        twin_shard.followers[twin_index].append(handle)
+                        handle.stats.coalesced_with = twin.handle.job_id
+                        twin.followers.append(handle)
                         # The shared run now serves this job too: it must
                         # rotate at the *most urgent* attached priority,
                         # or a high-priority duplicate would crawl at its
                         # twin's rate.
-                        twin_shard.weights[twin_index] = max(
-                            twin_shard.weights[twin_index], spec.priority
-                        )
+                        twin.weight = max(twin.weight, spec.priority)
                         self._coalesced += 1
                         continue
 
@@ -713,153 +656,150 @@ class IntegrationService:
             except Exception as exc:
                 self._finish(handle, JobStatus.FAILED, exception=exc)
                 continue
-            index = shard.scheduler.add(run)
-            if self._router is not None:
-                import time as _time
-
-                shard.routed[index] = (run_backend.name, _time.monotonic())
-            # Member/follower tables are read by stats() and sibling
-            # shards; every structural mutation happens under the lock.
+            member = _Member(
+                handle=handle, resolved=resolved, run=run, scheduler=sched,
+                index=sched.add(run), weight=spec.priority,
+                fingerprint=fingerprint,
+                routed=(
+                    (run_backend.name, time.monotonic())
+                    if self._router is not None
+                    else None
+                ),
+            )
+            # Members are read by stats() and sibling shards; every
+            # structural mutation happens under the lock.
             with self._cond:
-                shard.members[index] = handle
-                shard.followers[index] = []
-                shard.weights[index] = spec.priority
+                shard.members[handle.job_id] = member
                 if fingerprint is not None:
-                    shard.member_fp[index] = fingerprint
-                    self._inflight[fingerprint] = (shard, index)
-            shard.resolved[index] = resolved
-            shard.credits[index] = 0.0
+                    self._inflight[fingerprint] = member
 
     # ------------------------------------------------------------------
     def _serve_round(self, shard: _Shard) -> None:
         """One weighted rotation round over the shard's live members."""
         with self._cond:
-            live = sorted(shard.members)
-            weights = {i: shard.weights[i] for i in live}
+            live = [(m, m.weight) for m in shard.members.values()]
         if not live:
             return
         # Weighted round-robin: credit grows by priority; members at the
         # threshold are served and pay it back.  The highest-priority
         # member is served every round; a priority-p member every
         # ceil(w_max / p) rounds — service rate ∝ priority.
-        w_max = max(weights[i] for i in live)
-        serve = []
-        for i in live:
-            shard.credits[i] += weights[i]
-            if shard.credits[i] >= w_max:
-                shard.credits[i] -= w_max
-                serve.append(i)
+        w_max = max(weight for _, weight in live)
+        serve: List[_Member] = []
+        for member, weight in live:
+            member.credit += weight
+            if member.credit >= w_max:
+                member.credit -= w_max
+                serve.append(member)
 
-        failures = shard.scheduler.run_round(only=serve)
+        # One fused round per backend the served members run on.
+        by_sched: Dict[BatchScheduler, Dict[int, _Member]] = {}
+        for member in serve:
+            by_sched.setdefault(member.scheduler, {})[member.index] = member
+        failures: Dict[_Member, BaseException] = {}
+        for sched, members in by_sched.items():
+            try:
+                sched.run_round(only=list(members))
+            except BatchMemberError as exc:
+                for index, error in exc.failures.items():
+                    failures[members[index]] = error
         with self._cond:
             self._rounds += 1
-        for i in serve:
-            handle = shard.members.get(i)
-            if handle is None:
-                continue
-            handle.stats.rounds_served += 1
-            if i in failures:
-                self._finish_member(shard, i, error=failures[i])
-            elif shard.scheduler.member(i).finished:
-                self._finish_member(shard, i)
+        for member in serve:
+            member.handle.stats.rounds_served += 1
+            if member in failures:
+                self._finish_member(shard, member, error=failures[member])
+            elif member.run.finished:
+                self._finish_member(shard, member)
 
     # ------------------------------------------------------------------
     def _process_cancellations(self, shard: _Shard) -> None:
         """Apply pending cancel requests to the shard's members/followers."""
-        for index in list(shard.members):
-            handle = shard.members[index]
-            if handle.cancel_requested and not handle.done:
-                shard.scheduler.abandon_member(index)
-                self._finish_member(shard, index, cancelled=True)
+        for member in list(shard.members.values()):
+            if member.handle.cancel_requested and not member.handle.done:
+                member.scheduler.abandon_member(member.index)
+                self._finish_member(shard, member, cancelled=True)
         cancelled_followers = []
         with self._cond:
-            for followers in shard.followers.values():
-                for follower in list(followers):
+            for member in shard.members.values():
+                for follower in list(member.followers):
                     if follower.cancel_requested and not follower.done:
-                        followers.remove(follower)
+                        member.followers.remove(follower)
                         cancelled_followers.append(follower)
         for follower in cancelled_followers:
             follower._complete(JobStatus.CANCELLED, exception=CancelledError())
 
     # ------------------------------------------------------------------
+    def _detach(self, shard: _Shard, member: _Member) -> None:
+        """Retire a finished member: off its scheduler, its shard and the
+        in-flight map.  Once detached it gains no more followers."""
+        member.scheduler.retire_member(member.index)
+        with self._cond:
+            del shard.members[member.handle.job_id]
+            if self._inflight.get(member.fingerprint) is member:
+                del self._inflight[member.fingerprint]
+
+    def _requeue_followers(self, followers: List[JobHandle]) -> None:
+        """Send the followers of a run that will not serve them back to
+        the queue for a fresh slot.  They are no longer being served
+        without recomputation, so the coalescing marks come off."""
+        requeued = False
+        for follower in followers:
+            if follower._back_to_queue():
+                follower.stats.cache_hit = False
+                follower.stats.coalesced_with = None
+                self._queue.push(follower)
+                requeued = True
+        if requeued:
+            with self._cond:
+                self._cond.notify_all()
+
     def _finish_member(
         self,
         shard: _Shard,
-        index: int,
+        member: _Member,
         error: Optional[BaseException] = None,
         cancelled: bool = False,
     ) -> None:
-        """Retire rotation member ``index`` and resolve its handles."""
+        """Retire a rotation member and resolve its handles."""
         if error is None and not cancelled:
-            self._finish_member_done(shard, index)
+            self._finish_member_done(shard, member)
             return
-        with self._cond:
-            handle = shard.members.pop(index)
-            followers = shard.followers.pop(index)
-            shard.weights.pop(index)
-            fingerprint = shard.member_fp.pop(index, None)
-            if (
-                fingerprint is not None
-                and self._inflight.get(fingerprint) == (shard, index)
-            ):
-                self._inflight.pop(fingerprint)
-        shard.resolved.pop(index)
-        shard.credits.pop(index)
-        shard.routed.pop(index, None)
-
+        self._detach(shard, member)
         if cancelled:
-            handle._complete(JobStatus.CANCELLED, exception=CancelledError())
+            member.handle._complete(
+                JobStatus.CANCELLED, exception=CancelledError()
+            )
             # Followers coalesced onto a cancelled run still want their
-            # result: back to the queue for a fresh slot.  They are no
-            # longer being served without recomputation, so the
-            # coalescing marks come off before the retry.
-            requeued = False
-            for follower in followers:
-                if follower._back_to_queue():
-                    follower.stats.cache_hit = False
-                    follower.stats.coalesced_with = None
-                    self._queue.push(follower)
-                    requeued = True
-            if requeued:
-                with self._cond:
-                    self._cond.notify_all()
-            shard.scheduler.retire_member(index)
+            # result.
+            self._requeue_followers(member.followers)
             return
         # error is not None: deterministic integrand failure — the
         # coalesced twins would fail identically, so fail them now
         # instead of re-running.
-        self._finish(handle, JobStatus.FAILED, exception=error)
-        for follower in followers:
+        self._finish(member.handle, JobStatus.FAILED, exception=error)
+        for follower in member.followers:
             self._finish(follower, JobStatus.FAILED, exception=error)
-        shard.scheduler.retire_member(index)
 
-    def _finish_member_done(self, shard: _Shard, index: int) -> None:
-        """Successful completion: publish, then drop the member tables.
+    def _finish_member_done(self, shard: _Shard, member: _Member) -> None:
+        """Successful completion: publish, then detach the member.
 
-        The cache write and the in-flight/member removals happen in one
-        locked section so a duplicate admitted on any shard finds either
-        the in-flight entry (and coalesces) or the cache entry (and
-        replays) — never neither.  Followers appended up to the moment
-        the lock is taken are resolved with the result below.
+        The cache write and the detach happen in one locked section so a
+        duplicate admitted on any shard finds either the in-flight entry
+        (and coalesces) or the cache entry (and replays) — never
+        neither.  Followers appended up to the moment the lock is taken
+        are resolved with the result below.
         """
-        result = shard.scheduler.member(index).result
-        # Retire the member immediately: a long-lived rotation must not
-        # pin every finished run (and its result/trace) forever.
-        shard.scheduler.retire_member(index)
-        resolved = shard.resolved.pop(index)
-        shard.credits.pop(index)
-        routed = shard.routed.pop(index, None)
-        if routed is not None and self._router is not None:
-            import time as _time
-
-            name, admitted_at = routed
+        result = member.run.result
+        if member.routed is not None:
+            name, admitted_at = member.routed
             self._router.observe(
-                name, result.neval, _time.monotonic() - admitted_at
+                name, result.neval, time.monotonic() - admitted_at
             )
+        resolved, handle = member.resolved, member.handle
         if resolved.reference is not None:
             result.true_value = resolved.reference
-        handle_peek = shard.members[index]
-        policy = self._job_policy(handle_peek.spec)
+        policy = self._job_policy(handle.spec)
         escalation_cancelled = False
         if policy is not None and policy.should_escalate(result):
             # Re-run down the baseline ladder on this worker thread (a
@@ -871,52 +811,34 @@ class IntegrationService:
             result = policy.apply(
                 resolved.fn,
                 resolved.ndim,
-                handle_peek.spec.to_request(),
+                handle.spec.to_request(),
                 result,
                 bounds=resolved.bounds,
-                cancel_check=lambda: handle_peek.cancel_requested,
+                cancel_check=lambda: handle.cancel_requested,
             )
             if resolved.reference is not None:
                 result.true_value = resolved.reference
-            escalation_cancelled = handle_peek.cancel_requested
+            escalation_cancelled = handle.cancel_requested
             with self._cond:
                 self._escalations += 1
         with self._cond:
-            fingerprint = shard.member_fp.pop(index, None)
             if (
-                fingerprint is not None
+                member.fingerprint is not None
                 and self.cache is not None
                 and not escalation_cancelled
             ):
-                self.cache.put(fingerprint, result)
-            handle = shard.members.pop(index)
-            followers = shard.followers.pop(index)
-            shard.weights.pop(index)
-            if (
-                fingerprint is not None
-                and self._inflight.get(fingerprint) == (shard, index)
-            ):
-                self._inflight.pop(fingerprint)
+                self.cache.put(member.fingerprint, result)
+            self._detach(shard, member)
         if escalation_cancelled:
             handle._complete(JobStatus.CANCELLED, exception=CancelledError())
             # Followers wanted the full ladder outcome, not the partial
-            # one a cancelled ladder produced: back to the queue, same
-            # as followers of a cancelled run.
-            requeued = False
-            for follower in followers:
-                if follower._back_to_queue():
-                    follower.stats.cache_hit = False
-                    follower.stats.coalesced_with = None
-                    self._queue.push(follower)
-                    requeued = True
-            if requeued:
-                with self._cond:
-                    self._cond.notify_all()
+            # one a cancelled ladder produced.
+            self._requeue_followers(member.followers)
             return
         if result.escalated:
             handle.stats.escalated = True
         self._finish(handle, JobStatus.DONE, result=result)
-        for follower in followers:
+        for follower in member.followers:
             if result.escalated:
                 follower.stats.escalated = True
             self._finish(

@@ -296,10 +296,122 @@ def test_finished_members_are_retired():
         retained = [
             run
             for shard in svc._shards
-            for run in shard.scheduler.members
-            if run.has_result
+            for sched in shard.schedulers.values()
+            for run in sched.members
         ]
-    assert retained == []  # every finished member was retired
+        members = [m for shard in svc._shards for m in shard.members.values()]
+    assert retained == [] and members == []  # every member was retired
+
+
+def test_long_lived_service_keeps_no_per_member_state():
+    """docs/service.md: a long-running service does not grow with total
+    jobs served — no run slots, stats entries or in-flight entries are
+    left behind by finished members."""
+    n_jobs = 300
+    with IntegrationService(
+        max_concurrent=4, cache=False, history_limit=8
+    ) as svc:
+        for _ in range(n_jobs):
+            svc.submit("3D-f4", rel_tol=1e-3)
+        assert svc.wait_all(timeout=600)
+        schedulers = [
+            sched for shard in svc._shards
+            for sched in shard.schedulers.values()
+        ]
+        assert [len(sched.members) for sched in schedulers] == [0]
+        assert all(not sched.stats.iterations_served for sched in schedulers)
+        assert all(not sched.stats.exit_round for sched in schedulers)
+        assert svc._inflight == {}
+        assert svc.stats()["by_status"]["done"] == n_jobs
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raising(exc: BaseException):
+    def fn(x):
+        raise exc
+
+    fn.ndim = 3
+    return fn
+
+
+def test_mixed_backends_in_one_shard():
+    """A pinned shard that also runs per-job backend overrides fuses each
+    backend's members in its own round: results stay bit-identical to
+    plain integrate() calls and a failure stays with its own job."""
+    jobs = [
+        ("3D-f4", 1e-4, None),
+        ("3D-f4", 1e-5, "threaded:2"),
+        ("3D-f5", 1e-3, None),
+        ("3D-f4", 1e-3, "threaded:2"),
+        ("3D-f4", 1e-5, None),
+        ("3D-f5", 1e-3, "threaded:2"),
+    ]
+    errors = {None: _Boom("numpy member"), "threaded:2": _Boom("threaded member")}
+    with IntegrationService(max_concurrent=4, backend="numpy") as svc:
+        good = [
+            svc.submit(spec, rel_tol=tol, backend=bk) for spec, tol, bk in jobs[:2]
+        ]
+        bad = {
+            bk: svc.submit(_raising(exc), ndim=3, rel_tol=1e-3, backend=bk)
+            for bk, exc in errors.items()
+        }
+        good += [
+            svc.submit(spec, rel_tol=tol, backend=bk) for spec, tol, bk in jobs[2:]
+        ]
+        assert svc.wait_all(timeout=300)
+    for (spec, tol, bk), handle in zip(jobs, good):
+        res = handle.result(timeout=0)
+        f = named_integrand(spec)
+        ref = integrate(f, f.ndim, rel_tol=tol, backend=bk or "numpy")
+        assert res.estimate.hex() == ref.estimate.hex(), (spec, tol, bk)
+        assert res.errorest.hex() == ref.errorest.hex(), (spec, tol, bk)
+    for bk, handle in bad.items():
+        assert handle.status is JobStatus.FAILED
+        assert handle.exception(timeout=0) is errors[bk]
+
+
+def test_shutdown_leaves_caller_owned_backend_open():
+    """A job whose backend spec names the caller's own default instance
+    runs on it; shutdown must not close a backend the service did not
+    build."""
+    from repro.backends.numpy_backend import NumpyBackend
+
+    class CountingNumpy(NumpyBackend):
+        closed = 0
+
+        def close(self):
+            type(self).closed += 1
+
+    owned = CountingNumpy()
+    svc = IntegrationService(max_concurrent=2, backend=owned)
+    res = svc.submit("3D-f4", rel_tol=1e-3, backend="numpy").result(timeout=300)
+    svc.shutdown()
+    assert res.converged
+    assert CountingNumpy.closed == 0
+
+
+def test_raising_done_callback_is_logged(caplog):
+    def bad_callback(handle):
+        raise RuntimeError("callback bug")
+
+    with caplog.at_level("ERROR", logger="repro.service"):
+        with IntegrationService(max_concurrent=1) as svc:
+            # one slot, held by a slow job: the callback is registered
+            # while its job is still queued
+            svc.submit(make_slow_kink(delay=0.02), rel_tol=1e-5)
+            handle = svc.submit("3D-f4", rel_tol=1e-3)
+            handle.add_done_callback(bad_callback)
+            assert handle.result(timeout=300).converged
+            assert svc.wait_all(timeout=300)
+    records = [
+        r for r in caplog.records
+        if r.name == "repro.service" and f"#{handle.job_id}" in r.getMessage()
+    ]
+    assert len(records) == 1
+    assert records[0].exc_info[0] is RuntimeError
 
 
 def test_history_limit_prunes_but_stats_stay_truthful():

@@ -9,6 +9,7 @@ cancellation across shards — and what it must not change.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -95,6 +96,37 @@ def test_duplicates_served_without_recompute_under_shards():
     # never more than one primary per shard.
     served_without_run = stats["cache"]["hits"] + stats["coalesced"]
     assert served_without_run >= k - svc.shards
+
+
+def test_cross_shard_coalescing_stress_leaves_no_member_state():
+    """More shards than cores race to admit, coalesce onto and retire
+    duplicates under a short switch interval: every duplicate gets its
+    twin's bits, and no member record, run slot or in-flight entry is
+    left behind on any shard."""
+    tols = (1e-3, 2e-3, 4e-3)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with IntegrationService(shards=3, max_concurrent=2) as svc:
+            handles = [
+                (tol, svc.submit("3D-f4", rel_tol=tol))
+                for _ in range(8) for tol in tols
+            ]
+            assert svc.wait_all(timeout=300)
+            for shard in svc._shards:
+                assert shard.members == {}
+                for sched in shard.schedulers.values():
+                    assert sched.members == []
+                    assert not sched.stats.iterations_served
+            assert svc._inflight == {}
+    finally:
+        sys.setswitchinterval(old)
+    first = {}
+    for tol, handle in handles:
+        res = handle.result(timeout=0)
+        ref = first.setdefault(tol, res)
+        assert res.estimate.hex() == ref.estimate.hex()
+        assert res.errorest.hex() == ref.errorest.hex()
 
 
 def test_queued_cancellation_with_shards():
