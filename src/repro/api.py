@@ -173,14 +173,12 @@ class IntegrationRequest:
         integrand: Optional[Callable] = None,
         *,
         backend: BackendLike = None,
-        chunk_budget: Optional[int] = None,
     ) -> PaganiConfig:
         """Materialise a :class:`~repro.core.PaganiConfig` for this request.
 
         ``backend`` overrides the request's backend (the routed/shared
-        instance callers already resolved); ``chunk_budget`` overrides
-        the default evaluate grain (callers pass
-        :meth:`PaganiConfig.resolve_chunk_budget` for the backend).
+        instance callers already resolved).  The evaluate grain is left
+        to the run, which takes the backend's.
         """
         if backend is None:
             backend = self.backend if self.backend is not None else "numpy"
@@ -190,8 +188,6 @@ class IntegrationRequest:
             relerr_filtering=self.resolve_filtering(integrand),
             backend=backend,
         )
-        if chunk_budget is not None:
-            cfg.chunk_budget = chunk_budget
         if self.max_iterations is not None:
             cfg.max_iterations = self.max_iterations
         return cfg
@@ -239,11 +235,7 @@ def integrate_request(
             backend = router.decide(
                 ndim=ndim, rel_tol=request.rel_tol
             ).backend
-        bk = get_backend(backend)
-        cfg = request.to_pagani_config(
-            integrand, backend=bk,
-            chunk_budget=PaganiConfig.resolve_chunk_budget(bk),
-        )
+        cfg = request.to_pagani_config(integrand, backend=get_backend(backend))
         if policy is not None and request.max_iterations is None:
             # the stall watchdog: bound the PAGANI attempt so a
             # non-converging run reaches the ladder instead of burning
@@ -422,7 +414,6 @@ def integrate_sweep(
     backend: BackendLike = None,
     relerr_filtering: Optional[bool] = None,
     max_iterations: Optional[int] = None,
-    chunk_budget: Optional[int] = None,
     request: Optional[IntegrationRequest] = None,
 ) -> List[Tuple[str, IntegrationResult]]:
     """Run a ``sweep:`` spec as one fused :func:`integrate_many` batch.
@@ -456,7 +447,7 @@ def integrate_sweep(
     results = integrate_many(
         integrands, rel_tol=rel_tol, abs_tol=abs_tol, backend=backend,
         relerr_filtering=relerr_filtering, max_iterations=max_iterations,
-        chunk_budget=chunk_budget, request=request,
+        request=request,
     )
     return list(zip(members, results))
 
@@ -512,7 +503,6 @@ def integrate_many(
     backend: BackendLike = None,
     relerr_filtering: Optional[bool] = None,
     max_iterations: Optional[int] = None,
-    chunk_budget: Optional[int] = None,
     device_spec: Optional[DeviceSpec] = None,
     collect_trace: bool = True,
     return_stats: bool = False,
@@ -560,11 +550,6 @@ def integrate_many(
         ``"auto"`` routes the whole batch through the process-wide
         :class:`~repro.backends.routing.BackendRouter` using the summed
         first-sweep cost of all members.
-    chunk_budget:
-        Override the per-member chunk budget (floats per chunk), a speed
-        setting.  Default: the backend's ``preferred_batch_chunk_budget``
-        when it declares one (process and cupy do), else the cache-sized
-        default.
     device_spec:
         Virtual-device spec for each member (memory-scaled V100 default —
         the same device a plain :func:`integrate` call builds).
@@ -661,13 +646,11 @@ def integrate_many(
         backend = router.decide_batch(ndims, rel_tol=request.rel_tol).backend
 
     bk = get_backend(backend)
-    budget = PaganiConfig.resolve_chunk_budget(bk, chunk_budget)
-
     scheduler = BatchScheduler(backend=bk)
     if n == 0:
         return ([], scheduler.stats) if return_stats else []
     for f, d, b in zip(integrands, ndims, member_bounds):
-        cfg = request.to_pagani_config(f, backend=bk, chunk_budget=budget)
+        cfg = request.to_pagani_config(f, backend=bk)
         device = VirtualDevice(device_spec) if device_spec else None
         integrator = PaganiIntegrator(cfg, device=device)
         scheduler.add(
@@ -704,7 +687,6 @@ def serve_jobs(
     backend: BackendLike = None,
     cache: bool = True,
     cache_entries: int = 256,
-    chunk_budget: Optional[int] = None,
     shards: int = 1,
     service=None,
 ):
@@ -721,7 +703,7 @@ def serve_jobs(
         :class:`~repro.service.JobSpec` instances — or dicts in the
         jobs-file shape (``{"integrand": "5D-f4", "rel_tol": 1e-4,
         "priority": 3, ...}``).
-    max_concurrent / backend / cache / cache_entries / chunk_budget / shards:
+    max_concurrent / backend / cache / cache_entries / shards:
         Forwarded to :class:`~repro.service.IntegrationService`
         (``shards=K`` serves the queue with ``K`` independent worker
         rotations, each pinned to its own backend instance;
@@ -760,8 +742,7 @@ def serve_jobs(
     if own_service:
         service = IntegrationService(
             max_concurrent=max_concurrent, backend=backend, cache=cache,
-            cache_entries=cache_entries, chunk_budget=chunk_budget,
-            shards=shards,
+            cache_entries=cache_entries, shards=shards,
         )
     try:
         handles = service.submit_many(parsed)

@@ -98,7 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.backends.base import ArrayBackend, BackendUnavailableError
+from repro.backends.base import ArrayBackend, BackendUnavailableError, resolve_workers
 from repro.backends.compiled import NumbaBackend, numba_available
 from repro.backends.cupy_backend import CupyBackend, cupy_available
 from repro.backends.numpy_backend import NumpyBackend
@@ -122,6 +122,7 @@ __all__ = [
     "BackendLike",
     "BackendSpec",
     "resolve_backend",
+    "canonical_backend_spec",
     "backend_spec_help",
     "register_backend",
     "get_backend",
@@ -194,6 +195,23 @@ def resolve_backend(spec: BackendLike) -> BackendSpec:
             f"bad worker count in backend spec {spec!r}"
         ) from None
     return BackendSpec(name, width)
+
+
+def canonical_backend_spec(spec: BackendLike) -> str:
+    """The ``family:width`` an instance of (or built from) ``spec`` runs at.
+
+    Pool families carry their resolved width, so ``"threaded"`` on a
+    2-CPU host, ``"threaded:2"`` and a 2-thread instance all compare
+    equal; unpooled families are their bare name.
+    """
+    parsed = resolve_backend(spec)
+    if parsed.family not in _WIDTH_FACTORIES:
+        return parsed.family
+    if isinstance(spec, ArrayBackend):
+        width = getattr(spec, "num_workers", getattr(spec, "num_threads", None))
+    else:
+        width = resolve_workers(parsed.width)
+    return f"{parsed.family}:{width}"
 
 
 def register_backend(

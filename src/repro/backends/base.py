@@ -61,8 +61,8 @@ class ArrayBackend(abc.ABC):
     #: registry name, e.g. ``"numpy"``; set by subclasses
     name: str = "abstract"
 
-    #: chunk budget (floats per chunk) the batch and service layers use
-    #: on this backend; ``None`` keeps the cache-sized default
+    #: chunk budget (floats per chunk) every run on this backend uses
+    #: unless its config sets one; ``None`` keeps the cache-sized default
     #: (``repro.cubature.evaluation.CHUNK_BUDGET``).  A speed setting
     #: only: host lanes give the same bits at any grain.  Backends whose
     #: chunks pay a fixed cost (an IPC round-trip, a device launch)

@@ -342,7 +342,7 @@ class ProcessNumpyBackend(NumpyBackend):
 
     name = "process"
 
-    #: the batch layer's fused grain for this backend.  Larger than the
+    #: the evaluate grain of every run on this backend.  Larger than the
     #: threaded backend's cache-sized 128 Ki floats: each chunk pays an
     #: IPC round-trip (dispatch + result collection), so the grain must
     #: amortise it while still yielding enough independent chunks per

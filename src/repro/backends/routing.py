@@ -30,10 +30,14 @@ or an explicit spec anywhere a backend is accepted) bypasses the policy
 entirely, and :meth:`BackendRouter.autotune_width` lets a service probe
 real pool widths at start-up instead of trusting ``os.cpu_count()``.
 
+Solo :func:`repro.api.integrate` runs, :func:`repro.api.integrate_many`
+batches and service jobs are priced by one model: every lane evaluates
+at its own declared grain in all three, so batching earns no lane a
+grain gain over another.
+
 Cache identity stays honest: callers fingerprint the **resolved**
-backend (its ``.name`` and its resolved chunk budget), never the string
-``"auto"`` — two services with different routing outcomes must not
-alias cache entries.
+backend (its ``.name``), never the string ``"auto"`` — two services
+with different routing outcomes must not alias cache entries.
 """
 
 from __future__ import annotations
@@ -86,16 +90,6 @@ FALLBACK_S_PER_MEVAL = {
     "numba": 0.03,
 }
 
-#: committed batch baseline: the fused-grain gains are seeded from here
-BATCH_PRIORS_FILE = PRIORS_FILE.with_name("BENCH_batch.json")
-
-#: batched-throughput gain over batched numpy (measured ratios from the
-#: committed BENCH_batch.json).  Those were measured while numpy batched
-#: at a 16M-float grain; numpy now shares threaded's cache-sized grain,
-#: so the ratios overstate the parallel lanes until BENCH_batch.json is
-#: regenerated.
-FALLBACK_BATCH_GAIN = {"numpy": 1.0, "threaded": 1.9, "process": 2.2}
-
 #: fixed per-sweep dispatch cost (seconds) a backend pays before any
 #: evaluation happens: pool hand-off, chunk submission, result stitch.
 #: This is what routes tiny jobs to numpy even when a pool is idle.
@@ -147,28 +141,6 @@ def load_priors(path: Optional[Path] = None) -> Dict[str, float]:
         values.sort()
         priors[backend] = values[len(values) // 2]
     return priors
-
-
-def load_batch_gains(path: Optional[Path] = None) -> Dict[str, float]:
-    """Per-backend batched-throughput gain over batched numpy.
-
-    Read from the committed ``BENCH_batch.json`` (``batched_seconds``
-    ratios); missing/corrupt files fall back to
-    :data:`FALLBACK_BATCH_GAIN`.
-    """
-    path = BATCH_PRIORS_FILE if path is None else Path(path)
-    gains = dict(FALLBACK_BATCH_GAIN)
-    try:
-        data = json.loads(path.read_text())
-        rows = data.get("backends", {})
-        numpy_s = float(rows["numpy"]["batched_seconds"])
-        for backend, row in rows.items():
-            batched = float(row["batched_seconds"])
-            if numpy_s > 0 and batched > 0:
-                gains[backend] = numpy_s / batched
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return gains
 
 
 def first_sweep_evals(ndim: int, initial_splits: Optional[int] = None) -> int:
@@ -225,13 +197,9 @@ class BackendRouter:
         process_width: Optional[int] = None,
         process: Optional[bool] = None,
         cupy: Optional[bool] = None,
-        batch_gains: Optional[Dict[str, float]] = None,
         numba: Optional[bool] = None,
     ):
         self.priors = load_priors() if priors is None else dict(priors)
-        self.batch_gains = (
-            load_batch_gains() if batch_gains is None else dict(batch_gains)
-        )
         self.process_width = (
             resolve_workers(None) if process_width is None else int(process_width)
         )
@@ -258,13 +226,9 @@ class BackendRouter:
             return observed
         return self.priors.get(family, FALLBACK_S_PER_MEVAL["numpy"])
 
-    def _candidates(self, context: str = "plain") -> List[str]:
+    def _candidates(self) -> List[str]:
         out = ["numpy"]
-        if self._process and (self.process_width > 1 or context == "batch"):
-            # Even a width-1 process backend earns its place in *batch*
-            # traffic: it never builds a pool there (the serial guard),
-            # and the committed batch priors credit its grain with a gain
-            # over numpy on big sweeps.
+        if self._process and self.process_width > 1:
             out.append(f"process:{self.process_width}")
         if self._numba:
             out.append("numba")
@@ -272,17 +236,8 @@ class BackendRouter:
             out.append("cupy")
         return out
 
-    def predict_seconds(
-        self, spec: str, evals: float, regions: float, context: str = "plain"
-    ) -> float:
-        """Predicted first-sweep seconds for one candidate spec.
-
-        ``context`` is ``"plain"`` for a solo :func:`repro.api.integrate`
-        run or ``"batch"`` for work executed through the batch scheduler
-        (:func:`repro.api.integrate_many`, the service rotation), where
-        threaded/process gain :attr:`batch_gains` over numpy before any
-        parallelism.
-        """
+    def predict_seconds(self, spec: str, evals: float, regions: float) -> float:
+        """Predicted first-sweep seconds for one candidate spec."""
         family = spec.partition(":")[0]
         mevals = evals / 1e6
         if family == "cupy":
@@ -304,23 +259,15 @@ class BackendRouter:
                 rate = observed
             else:
                 serial = self._rate("numpy")
-                grain = (
-                    self.batch_gains.get("process", 1.0)
-                    if context == "batch"
-                    else 1.0
-                )
                 pooled = self.priors.get(
                     "process", FALLBACK_S_PER_MEVAL["process"]
-                ) / grain
+                )
                 # The bench prior measured *some* pool; scale the serial
-                # rate by the batch-grain gain (batch context only) and
-                # this width's ideal speedup, degraded by the
+                # rate by this width's ideal speedup, degraded by the
                 # stitch/serial share — take whichever is more
                 # optimistic.
                 rate = min(
-                    serial
-                    / grain
-                    / max(1.0, width * PROCESS_PARALLEL_EFFICIENCY),
+                    serial / max(1.0, width * PROCESS_PARALLEL_EFFICIENCY),
                     pooled,
                 )
         else:
@@ -336,16 +283,11 @@ class BackendRouter:
         rel_tol: float = 1e-3,
         initial_splits: Optional[int] = None,
         override: Optional[str] = None,
-        context: str = "plain",
     ) -> RoutingDecision:
-        """Route one job; ``override`` (non-``auto``) short-circuits.
-
-        ``context="batch"`` prices the job as batch-scheduler work (the
-        service rotation): see :meth:`predict_seconds`.
-        """
+        """Route one job; ``override`` (non-``auto``) short-circuits."""
         return self.decide_batch(
             [ndim], rel_tol=rel_tol, initial_splits=initial_splits,
-            override=override, context=context,
+            override=override,
         )
 
     def decide_batch(
@@ -354,11 +296,8 @@ class BackendRouter:
         rel_tol: float = 1e-3,
         initial_splits: Optional[int] = None,
         override: Optional[str] = None,
-        context: str = "batch",
     ) -> RoutingDecision:
         """Route a fused batch: one backend for the summed member work."""
-        if context not in ("plain", "batch"):
-            raise ValueError(f"context must be 'plain' or 'batch', got {context!r}")
         if override is not None and override != AUTO_SPEC:
             decision = RoutingDecision(backend=override, reason="override")
         else:
@@ -375,8 +314,8 @@ class BackendRouter:
                 regions += n_regions
                 evals += n_regions * get_rule(ndim).npoints
             predicted = {
-                spec: self.predict_seconds(spec, evals, regions, context)
-                for spec in self._candidates(context)
+                spec: self.predict_seconds(spec, evals, regions)
+                for spec in self._candidates()
             }
             # stable min: ties go to the earliest candidate (numpy)
             best = min(predicted, key=lambda s: (predicted[s], s != "numpy"))
@@ -472,7 +411,7 @@ class BackendRouter:
         with self._lock:
             return {
                 "process_width": self.process_width,
-                "candidates": self._candidates("batch"),
+                "candidates": self._candidates(),
                 "decisions": dict(self._decisions),
                 "observations": self._observations,
                 "observed_s_per_meval": dict(self._observed),

@@ -23,10 +23,11 @@ shared :class:`~repro.backends.base.ArrayBackend`:
 Numerics: a thunk only ever writes its own member's pre-allocated output
 slices, so fusing changes nothing — each member computes exactly the bits
 it would have computed alone.  The chunk decomposition is each member's
-``chunk_budget`` (:meth:`repro.core.pagani.PaganiConfig.resolve_chunk_budget`:
-the cache-sized default, or a backend's declared coarser grain); on host
-lanes it is a speed setting only, since every region's bits are the same
-at any grain.
+run grain (:class:`~repro.core.pagani.PaganiRun` resolves it: an explicit
+``PaganiConfig.chunk_budget``, else the backend's declared grain, else the
+cache-sized default), the same grain a solo run on that backend uses; on
+host lanes it is a speed setting only, since every region's bits are the
+same at any grain.
 """
 
 from __future__ import annotations

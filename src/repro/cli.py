@@ -148,10 +148,6 @@ def main(argv: Optional[list] = None) -> int:
         "chunks for throughput; auto routes the batch by its summed "
         "first-sweep cost)",
     )
-    batch.add_argument(
-        "--chunk-budget", type=int, default=None,
-        help="override the per-member chunk budget (floats per chunk)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -356,7 +352,6 @@ def _run_batch(args) -> int:
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         backend=backend,
-        chunk_budget=args.chunk_budget,
         return_stats=True,
     )
     wall = time.perf_counter() - t0

@@ -90,9 +90,11 @@ class PaganiConfig:
     #: per-region finished test is e_i <= margin·τ_rel·|v_i|; the margin
     #: reserves part of the global budget for threshold commitments
     relerr_margin: float = 0.5
-    #: chunking budget for the evaluate sweep (floats per chunk); a speed
-    #: setting only — results are bit-identical at any grain on host lanes
-    chunk_budget: int = CHUNK_BUDGET
+    #: chunking budget for the evaluate sweep (floats per chunk); ``None``
+    #: takes the backend's declared grain (``preferred_batch_chunk_budget``),
+    #: else ``CHUNK_BUDGET``.  A speed setting only — results are
+    #: bit-identical at any grain on host lanes
+    chunk_budget: Optional[int] = None
     #: execution backend for the hot path: a registered name
     #: ("numpy", "threaded", "threaded:<N>", "cupy") or an
     #: :class:`~repro.backends.base.ArrayBackend` instance
@@ -115,22 +117,6 @@ class PaganiConfig:
             return self.initial_splits
         d = max(2, math.ceil(self.init_target ** (1.0 / ndim)))
         return d
-
-    @classmethod
-    def resolve_chunk_budget(cls, backend, override: Optional[int] = None) -> int:
-        """The effective evaluate-chunk grain on ``backend``.
-
-        One policy shared by :func:`repro.api.integrate`,
-        :func:`repro.api.integrate_many` and the service layer (the cache
-        fingerprint hashes this value, so they must never diverge): an
-        explicit override wins, else the backend's preferred grain, else
-        the cache-sized default.
-        """
-        if override is not None:
-            return int(override)
-        if backend.preferred_batch_chunk_budget is not None:
-            return backend.preferred_batch_chunk_budget
-        return cls.chunk_budget
 
 
 class PaganiIntegrator:
@@ -282,6 +268,12 @@ class PaganiRun:
         self.config = cfg
         self.device = integrator.device
         self.backend = integrator.backend
+        #: the evaluate grain; resolved here and nowhere else
+        self.chunk_budget = (
+            cfg.chunk_budget
+            if cfg.chunk_budget is not None
+            else self.backend.preferred_batch_chunk_budget or CHUNK_BUDGET
+        )
         self.integrand = integrand
         self.ndim = ndim
         self.collect_trace = collect_trace
@@ -374,7 +366,7 @@ class PaganiRun:
             store.halfwidths,
             self.integrand,
             error_model=self.config.error_model,
-            chunk_budget=self.config.chunk_budget,
+            chunk_budget=self.chunk_budget,
             out_estimate=store.estimate,
             out_error=store.error,
             out_axis=store.split_axis,

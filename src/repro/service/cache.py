@@ -2,8 +2,10 @@
 
 The **fingerprint contract**: two jobs share a fingerprint iff they are
 the *same computation* — same integrand identity, same domain, same
-tolerances, same iteration cap, same filtering flag, and a backend/chunk
-decomposition that produces the same bits.  Every float enters the hash
+tolerances, same iteration cap, same filtering flag, and the same backend
+name.  The evaluate chunk grain is not hashed: it is a speed setting the
+backend picks, and on the host lanes the bits do not depend on it
+(``tests/golden/test_grain_invariance.py``).  Every float enters the hash
 as ``float.hex()`` (exact — no decimal rounding can alias two different
 tolerances), bounds enter per-component, and the integrand enters by its
 canonical catalogue spec (or a callable's explicit ``cache_key``).
@@ -34,8 +36,9 @@ import numpy as np
 from repro.core.result import IntegrationResult
 
 #: bump when the fingerprint payload layout changes, so stale
-#: disk-serialised fingerprints (if anyone persists them) cannot collide
-FINGERPRINT_SCHEMA = 1
+#: disk-serialised fingerprints (if anyone persists them) cannot collide;
+#: 2 dropped the chunk budget from the payload
+FINGERPRINT_SCHEMA = 2
 
 
 def job_fingerprint(
@@ -45,7 +48,6 @@ def job_fingerprint(
     rel_tol: float,
     abs_tol: float,
     backend: str,
-    chunk_budget: int,
     max_iterations: Optional[int],
     relerr_filtering: bool,
     collect_traces: bool = False,
@@ -70,7 +72,6 @@ def job_fingerprint(
         "rel_tol": float(rel_tol).hex(),
         "abs_tol": float(abs_tol).hex(),
         "backend": backend,
-        "chunk_budget": int(chunk_budget),
         "max_iterations": None if max_iterations is None else int(max_iterations),
         "relerr_filtering": bool(relerr_filtering),
         # Traces do not change the numbers, but a replayed result must

@@ -33,6 +33,7 @@ Design notes:
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -53,6 +54,8 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Retry-After seconds suggested on 429 (queue full) and 409 (not ready)
 RETRY_AFTER_SECONDS = 1
+
+_log = logging.getLogger("repro.service.http")
 
 
 def _job_status_payload(job_id: int, handle: JobHandle) -> dict:
@@ -151,9 +154,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message}, headers)
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        # A rejected body is left unread, so the connection cannot be
+        # read past it: answer, then close it.
+        close = {"Connection": "close"}
+        if length < 0:
+            self._error(400, f"malformed Content-Length {raw!r}", close)
+            return None
         if length > MAX_BODY_BYTES:
-            self._error(413, f"request body over {MAX_BODY_BYTES} bytes")
+            self._error(413, f"request body over {MAX_BODY_BYTES} bytes", close)
             return None
         return self.rfile.read(length)
 
@@ -266,6 +279,11 @@ class _Server(ThreadingHTTPServer):
     def __init__(self, addr, app: "HttpIntegrationServer"):
         self.app = app
         super().__init__(addr, _Handler)
+
+    def handle_error(self, request, client_address) -> None:
+        """A handler raised: log it and count it (the connection drops)."""
+        self.app._count("errors")
+        _log.exception("unhandled error serving %s", client_address)
 
 
 class HttpIntegrationServer:

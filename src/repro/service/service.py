@@ -26,8 +26,8 @@ own execution-backend instance, all pulling from one shared
 
 Sharding (``shards=K``) multiplies the rotations, not the semantics:
 every shard resolves the *same* backend spec, so fingerprints — which
-hash the backend name and chunk grain — are shard-independent and cache
-hits stay bit-for-bit regardless of which shard computed the entry.
+hash the backend name — are shard-independent and cache hits stay
+bit-for-bit regardless of which shard computed the entry.
 Pair ``shards=K`` with a per-shard parallel backend (``"process"``)
 only when the host has cores to spare; on a small host prefer one shard
 with one wide pool.
@@ -53,9 +53,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends import ArrayBackend, BackendLike, get_backend, new_backend
+from repro.backends import (
+    ArrayBackend,
+    BackendLike,
+    canonical_backend_spec,
+    get_backend,
+    new_backend,
+)
 from repro.batch import BatchMemberError, BatchScheduler
-from repro.core.pagani import PaganiConfig, PaganiIntegrator, PaganiRun
+from repro.core.pagani import PaganiIntegrator, PaganiRun
 from repro.errors import ConfigurationError
 from repro.service.cache import ResultCache, job_fingerprint
 from repro.service.escalation import EscalationPolicy
@@ -155,12 +161,6 @@ class IntegrationService:
         :class:`ResultCache` instance is shared (e.g. across services).
     cache_entries:
         LRU capacity when ``cache=True``.
-    chunk_budget:
-        Per-run evaluate-chunk grain.  Default: the backend's
-        ``preferred_batch_chunk_budget`` when it declares one, else the
-        cache-sized default.  A speed setting: on host backends service
-        results are bit-identical to plain :func:`repro.api.integrate`
-        calls at any grain.
     collect_traces:
         Keep per-iteration traces on results (off by default: a serving
         system should not grow unbounded trace lists into its cache).
@@ -200,7 +200,6 @@ class IntegrationService:
         backend: BackendLike = None,
         cache: Union[bool, ResultCache] = True,
         cache_entries: int = 256,
-        chunk_budget: Optional[int] = None,
         collect_traces: bool = False,
         history_limit: Optional[int] = None,
         shards: int = 1,
@@ -216,7 +215,6 @@ class IntegrationService:
             raise ConfigurationError("history_limit must be >= 0 or None")
         self.history_limit = history_limit
         self.max_concurrent = int(max_concurrent)
-        self._chunk_budget_override = chunk_budget
         self._router = None
         if isinstance(backend, str) and backend == "auto":
             from repro.backends.routing import BackendRouter
@@ -226,9 +224,9 @@ class IntegrationService:
                 # Width probe at service start: measure real pool widths
                 # instead of trusting cpu_count (no-op on 1-CPU hosts).
                 self._router.autotune_width()
-            # Routed shards still need a default instance: it anchors
-            # the default chunk budget and serves as the fallback when
-            # a routed spec fails to build.  numpy is always adequate.
+            # Routed shards still need a default instance: the fallback
+            # when a routed spec fails to build.  numpy is always
+            # adequate.
             backend = "numpy"
         if shards == 1 or isinstance(backend, ArrayBackend):
             # One shard keeps the classic shared-instance resolution; an
@@ -247,9 +245,6 @@ class IntegrationService:
             self.cache = ResultCache(max_entries=cache_entries)
         else:
             self.cache = None
-        self.chunk_budget = PaganiConfig.resolve_chunk_budget(
-            self.backend, chunk_budget
-        )
         self.collect_traces = collect_traces
 
         self._queue = JobQueue()
@@ -537,38 +532,37 @@ class IntegrationService:
 
     def _job_scheduler(
         self, shard: _Shard, spec: JobSpec, resolved: ResolvedJob
-    ) -> Tuple[BatchScheduler, int]:
-        """The scheduler (so the backend instance) + chunk grain of a job.
+    ) -> BatchScheduler:
+        """The scheduler (so the backend instance) a job runs on.
 
         Per-job ``spec.backend`` overrides always win; an ``auto``
         service routes the rest; a pinned service runs them on the
         shard default.  Instances for non-default specs are built once
         per shard and reused (``shard.schedulers``), so routed jobs keep
-        warm pools exactly like pinned ones.
+        warm pools exactly like pinned ones; a spec naming the default's
+        family *and* width reuses the default itself.
         """
         override = spec.backend if spec.backend != "auto" else None
         if self._router is not None:
             target: Optional[str] = self._router.decide(
                 ndim=resolved.ndim, rel_tol=spec.rel_tol, override=override,
-                context="batch",  # jobs execute through the rotation
             ).backend
         else:
             # On a pinned service an explicit "auto" defers to the pin —
             # the service is the routing decision.
             target = override
         if target is None:
-            return shard.schedulers[None], self.chunk_budget
+            return shard.schedulers[None]
         sched = shard.schedulers.get(target)
         if sched is None:
-            if target == shard.backend.name:
+            if canonical_backend_spec(target) == canonical_backend_spec(
+                shard.backend
+            ):
                 sched = shard.schedulers[None]  # routed to the default
             else:
                 sched = BatchScheduler(backend=new_backend(target))
             shard.schedulers[target] = sched
-        budget = PaganiConfig.resolve_chunk_budget(
-            sched.backend, self._chunk_budget_override
-        )
-        return sched, budget
+        return sched
 
     def _admit(self, shard: _Shard) -> None:
         """Fill the shard's free rotation slots (cache/coalesce first)."""
@@ -581,9 +575,7 @@ class IntegrationService:
             spec = handle.spec
             try:
                 resolved = spec.resolve()
-                sched, chunk_budget = self._job_scheduler(
-                    shard, spec, resolved
-                )
+                sched = self._job_scheduler(shard, spec, resolved)
                 run_backend = sched.backend
                 policy = self._job_policy(spec)
             except Exception as exc:
@@ -592,11 +584,11 @@ class IntegrationService:
 
             fingerprint = None
             if self.cache is not None and resolved.cache_id is not None:
-                # The *resolved* backend (and its grain) is hashed, never
-                # the "auto" policy: cache identity must describe the
-                # bits, and two routers may decide differently.  The
-                # effective escalation descriptor is hashed for the same
-                # reason: an armed ladder can change the numbers.
+                # The *resolved* backend is hashed, never the "auto"
+                # policy: cache identity must describe the bits, and two
+                # routers may decide differently.  The effective
+                # escalation descriptor is hashed for the same reason:
+                # an armed ladder can change the numbers.
                 fingerprint = job_fingerprint(
                     integrand_id=resolved.cache_id,
                     ndim=resolved.ndim,
@@ -604,7 +596,6 @@ class IntegrationService:
                     rel_tol=spec.rel_tol,
                     abs_tol=spec.abs_tol,
                     backend=run_backend.name,
-                    chunk_budget=chunk_budget,
                     max_iterations=spec.max_iterations,
                     relerr_filtering=resolved.relerr_filtering,
                     collect_traces=self.collect_traces,
@@ -640,7 +631,7 @@ class IntegrationService:
             # in IntegrationRequest, so service runs and API runs build
             # their PaganiConfig through the same code path.
             cfg = spec.to_request().to_pagani_config(
-                resolved.fn, backend=run_backend, chunk_budget=chunk_budget
+                resolved.fn, backend=run_backend
             )
             if policy is not None and spec.max_iterations is None:
                 # the stall watchdog: bound the PAGANI attempt so a

@@ -14,12 +14,10 @@ import pytest
 from repro.api import integrate, integrate_many
 from repro.backends.routing import (
     AUTO_SPEC,
-    FALLBACK_BATCH_GAIN,
     FALLBACK_S_PER_MEVAL,
     BackendRouter,
     first_sweep_evals,
     is_auto,
-    load_batch_gains,
     load_priors,
     shared_router,
 )
@@ -29,7 +27,6 @@ from repro.integrands.catalog import named_integrand
 def router(**kw):
     """A fully injected router: no host probing, deterministic priors."""
     kw.setdefault("priors", dict(FALLBACK_S_PER_MEVAL))
-    kw.setdefault("batch_gains", dict(FALLBACK_BATCH_GAIN))
     kw.setdefault("process", True)
     kw.setdefault("process_width", 8)
     kw.setdefault("cupy", False)
@@ -115,31 +112,6 @@ def test_decide_batch_prices_summed_work():
     assert r.decide(ndim=3).backend == "numpy"
     # ...but forty of them fused into one batch saturate it.
     assert r.decide_batch([3] * 40).backend == "process:8"
-
-
-def test_batch_context_prefers_process_grain_even_serially():
-    """On a 1-wide host the process backend still wins *batch* traffic:
-    no pool is built (serial guard), but its fused chunk grain beats
-    numpy's reference decomposition — the measured BENCH_batch gain."""
-    r = router(process_width=1)
-    # Plain (solo-integrate) context: no pool, no grain edge -> numpy.
-    assert r.decide(ndim=8, context="plain").backend == "numpy"
-    # Batch context: the grain gain pays for itself on a big sweep...
-    assert r.decide_batch([8]).backend == "process:1"
-    # ...but not on a tiny one (dispatch overhead dominates).
-    assert r.decide_batch([3]).backend == "numpy"
-
-
-def test_load_batch_gains_committed_else_fallback(tmp_path):
-    committed = load_batch_gains()
-    assert committed["numpy"] == pytest.approx(1.0)
-    assert committed["process"] > 1.0  # the grain gain is real
-    assert load_batch_gains(tmp_path / "nope.json") == FALLBACK_BATCH_GAIN
-
-
-def test_decide_batch_rejects_unknown_context():
-    with pytest.raises(ValueError):
-        router().decide_batch([3], context="cluster")
 
 
 def test_observation_refines_decisions():
@@ -247,7 +219,6 @@ def test_shared_router_is_singleton_and_learns():
 # Service-level routing: resolved fingerprints, per-job overrides
 # ---------------------------------------------------------------------------
 def test_service_auto_resolves_backend_and_fingerprint():
-    from repro.core.pagani import PaganiConfig
     from repro.service import IntegrationService, JobSpec, job_fingerprint
 
     service = IntegrationService(backend="auto", routing_autotune=False)
@@ -264,9 +235,6 @@ def test_service_auto_resolves_backend_and_fingerprint():
 
     # The fingerprint names the *resolved* backend, never "auto": a
     # tiny 3D job routes to numpy on every host this test runs on.
-    from repro.backends import get_backend
-
-    bk = get_backend("numpy")
     expected = job_fingerprint(
         integrand_id="3d-f4",
         ndim=3,
@@ -274,7 +242,6 @@ def test_service_auto_resolves_backend_and_fingerprint():
         rel_tol=1e-3,
         abs_tol=1e-20,
         backend="numpy",
-        chunk_budget=PaganiConfig.resolve_chunk_budget(bk, None),
         max_iterations=None,
         relerr_filtering=True,
     )

@@ -230,3 +230,41 @@ def test_threshold_traces_recorded_when_triggered():
     integ = PaganiIntegrator(PaganiConfig(rel_tol=1e-8, max_iterations=25), device=dev)
     integ.integrate(g, 4)
     assert len(integ.threshold_traces) >= 1
+
+
+@pytest.mark.parametrize(
+    "backend, chunk_budget, expected",
+    [
+        # no explicit grain: the backend's declared one (process: 1 Mi)
+        ("process", None, 1_048_576),
+        # a backend without one: the cache-sized default
+        ("numpy", None, 131_072),
+        # an explicit grain wins over the backend's
+        ("process", 50_000, 50_000),
+    ],
+)
+def test_run_resolves_evaluate_grain_from_backend(
+    monkeypatch, backend, chunk_budget, expected
+):
+    """A direct PaganiIntegrator evaluates at the grain integrate(),
+    integrate_many and the service use on the same backend."""
+    import repro.core.pagani as pagani
+    from repro.backends import ProcessNumpyBackend
+    from repro.integrands.catalog import named_integrand
+
+    seen = []
+    evaluate = pagani.evaluate_regions
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["chunk_budget"])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pagani, "evaluate_regions", spy)
+    bk = ProcessNumpyBackend(num_workers=1) if backend == "process" else backend
+    try:
+        cfg = PaganiConfig(rel_tol=1e-3, backend=bk, chunk_budget=chunk_budget)
+        PaganiIntegrator(cfg).integrate(named_integrand("3D-f4"), 3)
+    finally:
+        if backend == "process":
+            bk.close()
+    assert seen and set(seen) == {expected}

@@ -3,10 +3,11 @@
 Every region's estimate and error are computed by fixed-order
 contractions, so neither the evaluate chunk size, nor the pool width, nor
 the BLAS thread count may move a single bit of a PAGANI result.  Each job
-runs at four grains — from one chunk per sweep down to dozens — on numpy
-and on one- and two-worker process pools (whose remote path ships the
-chunks to worker processes), and every run must match the first one
-exactly.  The Genz oscillatory and corner-peak integrands evaluate
+runs at four grains — from one chunk per sweep down to dozens — on numpy,
+on a two-thread pool (whose chunks run concurrently without the serial
+lane's scratch buffers) and on one- and two-worker process pools (whose
+remote path ships the chunks to worker processes), and every run must
+match the first one exactly.  The Genz oscillatory and corner-peak integrands evaluate
 ``x @ a`` per chunk, the shape most exposed to BLAS blocking.
 """
 
@@ -14,7 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import BackendUnavailableError, ProcessNumpyBackend
+from repro.backends import (
+    BackendUnavailableError,
+    ProcessNumpyBackend,
+    ThreadedNumpyBackend,
+)
 from repro.core.pagani import PaganiConfig, PaganiIntegrator
 from repro.integrands.catalog import named_integrand
 
@@ -24,7 +29,7 @@ JOBS = (("5D-genz-oscillatory", 1e-7), ("5D-genz-corner_peak", 1e-8))
 
 @pytest.fixture(scope="module")
 def lanes():
-    pools = []
+    pools = [ThreadedNumpyBackend(num_threads=2)]
     try:
         for workers in (1, 2):
             pools.append(ProcessNumpyBackend(num_workers=workers))
@@ -32,7 +37,12 @@ def lanes():
         for bk in pools:
             bk.close()
         pytest.skip(f"process backend unavailable: {exc}")
-    yield {"numpy": "numpy", "process:1": pools[0], "process:2": pools[1]}
+    yield {
+        "numpy": "numpy",
+        "threaded:2": pools[0],
+        "process:1": pools[1],
+        "process:2": pools[2],
+    }
     for bk in pools:
         bk.close()
 

@@ -17,7 +17,6 @@ def fp(**overrides):
         rel_tol=1e-4,
         abs_tol=1e-20,
         backend="numpy",
-        chunk_budget=16_000_000,
         max_iterations=None,
         relerr_filtering=True,
     )
@@ -45,7 +44,6 @@ def test_fingerprint_is_deterministic():
         {"rel_tol": 1e-5},
         {"abs_tol": 1e-19},
         {"backend": "threaded"},
-        {"chunk_budget": 1_000_000},
         {"max_iterations": 10},
         {"relerr_filtering": False},
         {"collect_traces": True},

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -15,6 +16,7 @@ from repro.api import integrate, serve_http
 from repro.integrands.catalog import named_integrand
 from repro.service import IntegrationService
 from repro.service.http import HttpIntegrationServer
+from repro.service.http.server import MAX_BODY_BYTES
 from repro.service.store import result_to_payload
 
 
@@ -185,6 +187,56 @@ def test_malformed_spec_rejected_400():
         # JSON but not an object
         code, payload, _ = request("POST", base + "/v1/jobs", ["3D-f4"])
         assert code == 400
+
+
+def raw_post(server, content_length, timeout=10):
+    """POST /v1/jobs with a verbatim Content-Length header and no body;
+    (status, json payload, headers)."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=timeout)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read()), dict(resp.headers)
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "length, want",
+    [("abc", 400), ("-5", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+)
+def test_bad_content_length_rejected_and_connection_closed(length, want):
+    """Answered and counted, not a dropped connection (non-numeric) or
+    a handler thread blocked reading to EOF (-1); the unread body is
+    never parsed as a next request on the same connection."""
+    with http_server() as server:
+        code, payload, headers = raw_post(server, length)
+        assert code == want
+        assert payload["error"]
+        assert headers["Connection"] == "close"
+        assert server.metrics()["http"]["errors"] == 1
+        # the server still serves
+        code, _, _ = request("GET", server.url + "/healthz")
+        assert code == 200
+
+
+def test_unhandled_handler_error_is_logged_and_counted(caplog, monkeypatch):
+    def broken_submit(handler, data):
+        raise RuntimeError("submit bug")
+
+    with caplog.at_level("ERROR", logger="repro.service.http"):
+        with http_server() as server:
+            monkeypatch.setattr(server, "_submit", broken_submit)
+            # the handler died mid-request: the connection drops unanswered
+            with pytest.raises((http.client.HTTPException, ConnectionError)):
+                raw_post(server, "0")
+            assert server.metrics()["http"]["errors"] == 1
+    records = [r for r in caplog.records if r.name == "repro.service.http"]
+    assert len(records) == 1
+    assert records[0].exc_info[0] is RuntimeError
 
 
 # ---------------------------------------------------------------------------

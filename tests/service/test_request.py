@@ -30,7 +30,6 @@ BASE = dict(
     rel_tol=1e-4,
     abs_tol=1e-20,
     backend="numpy",
-    chunk_budget=16_000_000,
     max_iterations=None,
     relerr_filtering=True,
 )
@@ -43,16 +42,16 @@ CORPUS = [
     {"rel_tol": 1e-5},
     {"abs_tol": 1e-19},
     {"backend": "threaded"},
-    {"chunk_budget": 1_000_000},
     {"max_iterations": 10},
     {"relerr_filtering": False},
     {"collect_traces": True},
 ]
 
-#: the base corpus digest at the time the IntegrationRequest surface
-#: landed — byte stability means this never changes without a schema bump
+#: the base corpus digest under fingerprint schema 2 (the chunk budget
+#: left the payload) — byte stability means this never changes without a
+#: schema bump
 PINNED_BASE_FINGERPRINT = (
-    "90174dbfecb4d4cb9eb215db9c723bb932fd52492a66b95478be4cd7752ae1ca"
+    "df74f2401d4b5e15e453b90e76a9daa179185baf3927c5cede3c9e5ce908f38e"
 )
 
 
@@ -88,7 +87,6 @@ def test_request_roundtrip_reproduces_corpus_fingerprints(change):
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol,
         backend=get_backend(spec.backend).name,
-        chunk_budget=job["chunk_budget"],
         max_iterations=spec.max_iterations,
         relerr_filtering=resolved.relerr_filtering,
         collect_traces=collect_traces,

@@ -373,6 +373,29 @@ def test_mixed_backends_in_one_shard():
         assert handle.exception(timeout=0) is errors[bk]
 
 
+def test_job_backend_naming_the_default_reuses_its_pool():
+    """A job spec with the default's family *and* width runs on the
+    default instance; another width still gets its own pool."""
+    from repro.backends import ThreadedNumpyBackend
+
+    with IntegrationService(max_concurrent=2, backend="threaded:2") as svc:
+        same = svc.submit("3D-f4", rel_tol=1e-3, backend="threaded:2")
+        assert same.result(timeout=300).converged
+        (shard,) = svc._shards
+        pools = {id(s.backend) for s in shard.schedulers.values()}
+        assert pools == {id(shard.backend)}
+
+        other = svc.submit("3D-f4", rel_tol=1e-4, backend="threaded:3")
+        assert other.result(timeout=300).converged
+        widths = sorted(
+            s.backend.num_threads for s in shard.schedulers.values()
+            if isinstance(s.backend, ThreadedNumpyBackend)
+        )
+        # the default is listed under None and "threaded:2"
+        assert widths == [2, 2, 3]
+        assert len({id(s.backend) for s in shard.schedulers.values()}) == 2
+
+
 def test_shutdown_leaves_caller_owned_backend_open():
     """A job whose backend spec names the caller's own default instance
     runs on it; shutdown must not close a backend the service did not
